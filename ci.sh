@@ -117,33 +117,14 @@ cargo run --release -p aql_experiments --bin repro -- \
 diff /tmp/ci_repro_t1.txt /tmp/ci_repro_t4.txt
 rm -f /tmp/ci_repro_t1.txt /tmp/ci_repro_t4.txt
 
-step "span smoke: multi-socket quick sweep byte-identical across --span-workers 1 vs 4; wall times -> BENCH_sweep.json"
-# Parallel span execution fans each coalesced span's per-socket slot
-# groups out to a worker pool; the table must not move by a byte. The
-# two --bench-json calls record sweep_quick_span_workers{1,4} next to
-# the existing sweep/repro columns, keeping the span-pool wall-time
-# trajectory visible PR over PR (single-core CI containers will show
-# parity; multi-core hosts, a speedup).
-cargo run --release -p aql_experiments --bin sweep -- \
-    --quick --scenarios parsec-batch,spinfarm,foursocket --span-workers 1 \
-    --bench-json BENCH_sweep.json > /tmp/ci_span_w1.txt
-cargo run --release -p aql_experiments --bin sweep -- \
-    --quick --scenarios parsec-batch,spinfarm,foursocket --span-workers 4 \
-    --bench-json BENCH_sweep.json > /tmp/ci_span_w4.txt
-# The recorded-key line names the worker count; strip it before the
-# byte-identity diff of the rendered tables.
-diff <(grep -v "^(recorded " /tmp/ci_span_w1.txt) \
-     <(grep -v "^(recorded " /tmp/ci_span_w4.txt)
-rm -f /tmp/ci_span_w1.txt /tmp/ci_span_w4.txt
-
 step "fault smoke: a panicking cell is contained, rendered FAIL, and spares its siblings"
 # One healthy scenario next to one whose IO VM panics 30 ms in. The
 # sweep must exit 0 (containment is the contract), render the broken
 # cells as explicit FAILs, list the classified failures, record the
-# count in BENCH_sweep.json (sweep_quick_files2_span_workers1), and
-# keep every healthy row byte-identical to a sweep that never saw the
-# broken scenario. Panic messages land on stderr by design (silenced
-# here); stdout stays deterministic.
+# count in BENCH_sweep.json (sweep_quick_files2), and keep every
+# healthy row byte-identical to a sweep that never saw the broken
+# scenario. Panic messages land on stderr by design (silenced here);
+# stdout stays deterministic.
 cat > /tmp/ci_fault_ok.scn <<'EOF'
 scenario = fault-ok
 machine = sockets=1 cores=2 cache=i7-3770

@@ -102,7 +102,7 @@ const ALL: [&str; 14] = [
 
 fn usage() {
     eprintln!(
-        "usage: repro [--quick] [--threads N] [--span-workers N] \
+        "usage: repro [--quick] [--threads N] \
          [--time-mode adaptive|dense] [--bench-json PATH] \
          [--max-cell-wall DUR] [--retries N] [--journal PATH] [--resume] \
          <command>..."
@@ -140,18 +140,6 @@ fn main() -> ExitCode {
                     Ok(n) => opts.threads = n,
                     Err(_) => {
                         eprintln!("error: --threads needs a number");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--span-workers" => {
-                let Some(v) = take_value(&mut args, i, "--span-workers") else {
-                    return ExitCode::FAILURE;
-                };
-                match v.parse() {
-                    Ok(n) if n > 0 => opts.span_workers = n,
-                    _ => {
-                        eprintln!("error: --span-workers needs a positive number");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -261,7 +249,7 @@ fn main() -> ExitCode {
         // side, and a dense-oracle run cannot overwrite an adaptive
         // timing.
         let key = format!(
-            "repro_{}threads{}{}{}",
+            "repro_{}threads{}{}",
             if quick { "quick_" } else { "" },
             if opts.threads == 0 {
                 "auto".to_string()
@@ -272,11 +260,6 @@ fn main() -> ExitCode {
                 "_dense"
             } else {
                 ""
-            },
-            if opts.span_workers > 1 {
-                format!("_span{}", opts.span_workers)
-            } else {
-                String::new()
             }
         );
         let value = format!(

@@ -11,8 +11,6 @@
 //!   --policies a,b      policies to compare (default: all five)
 //!   --seeds N           replicates per scenario (default: 1)
 //!   --threads N         worker threads (default: all cores)
-//!   --span-workers N    per-simulation socket lanes for coalesced
-//!                       spans (default: 1; never changes the table)
 //!   --quick             shorten warm-up/measurement (CI smoke)
 //!   --time-mode M       adaptive (default), dense, or both: `both`
 //!                       runs the matrix under each mode, asserts the
@@ -28,7 +26,7 @@
 //!                       JSON (the CI perf-smoke writes
 //!                       BENCH_sweep.json); otherwise record this
 //!                       run's wall time (and failure count) under a
-//!                       `sweep[_quick]_span_workersN` key
+//!                       `sweep[_quick][_filesN][_dense]` key
 //!   --scenario-file F   sweep scenario documents parsed from the
 //!                       given files (comma-separated) instead of the
 //!                       catalog; combine with --scenarios to add
@@ -67,8 +65,7 @@ use aql_scenarios::{catalog, ScenarioSpec, TimeMode};
 fn usage() -> String {
     format!(
         "usage: sweep [--scenarios a,b,c] [--scenario-file f.scn,g.scn] \
-         [--policies a,b] [--seeds N] \
-         [--threads N] [--span-workers N] [--quick] \
+         [--policies a,b] [--seeds N] [--threads N] [--quick] \
          [--time-mode adaptive|dense|both] [--oracle-sample N] \
          [--oracle-seed S] [--bench-json PATH] [--max-cell-wall DUR] \
          [--retries N] [--journal PATH] [--resume] [--fail-fast] \
@@ -229,21 +226,14 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .map_err(|_| "--seeds needs a number".to_string())?;
             }
             "--threads" => {
-                cfg.threads = value("--threads")?
+                cfg.exec.threads = value("--threads")?
                     .parse()
                     .map_err(|_| "--threads needs a number".to_string())?;
             }
-            "--span-workers" => {
-                cfg.span_workers = value("--span-workers")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| "--span-workers needs a positive number".to_string())?;
-            }
             "--quick" => cfg.quick = true,
             "--time-mode" => match value("--time-mode")?.as_str() {
-                "adaptive" => cfg.time_mode = TimeMode::Adaptive,
-                "dense" => cfg.time_mode = TimeMode::Dense,
+                "adaptive" => cfg.exec.time_mode = TimeMode::Adaptive,
+                "dense" => cfg.exec.time_mode = TimeMode::Dense,
                 "both" => compare_modes = true,
                 other => {
                     return Err(format!(
@@ -256,16 +246,16 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 let v = value("--max-cell-wall")?;
                 let ns = aql_sim::time::parse_dur(&v)
                     .ok_or_else(|| format!("--max-cell-wall: bad duration '{v}'"))?;
-                cfg.max_cell_wall = Some(std::time::Duration::from_nanos(ns));
+                cfg.exec.max_cell_wall = Some(std::time::Duration::from_nanos(ns));
             }
             "--retries" => {
-                cfg.retries = value("--retries")?
+                cfg.exec.retries = value("--retries")?
                     .parse()
                     .map_err(|_| "--retries needs a number".to_string())?;
             }
-            "--journal" => cfg.journal = Some(value("--journal")?.into()),
-            "--resume" => cfg.resume = true,
-            "--fail-fast" => cfg.fail_fast = true,
+            "--journal" => cfg.exec.journal = Some(value("--journal")?.into()),
+            "--resume" => cfg.exec.resume = true,
+            "--fail-fast" => cfg.exec.fail_fast = true,
             "--oracle-sample" => {
                 oracle_sample = value("--oracle-sample")?
                     .parse()
@@ -311,7 +301,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if compare_modes && !file_specs.is_empty() {
         return Err("--scenario-file cannot combine with --time-mode both".to_string());
     }
-    if cfg.resume && cfg.journal.is_none() {
+    if cfg.exec.resume && cfg.exec.journal.is_none() {
         return Err("--resume requires --journal".to_string());
     }
     Ok(Cli {
@@ -344,20 +334,15 @@ fn run_mode_comparison(cli: &Cli) -> Result<(), String> {
             names.join(", ")
         );
     }
-    let dense_cfg = SweepConfig {
-        time_mode: TimeMode::Dense,
-        ..cli.cfg.clone()
+    let mode_cfg = |time_mode: TimeMode, coalesce: bool| {
+        let mut cfg = cli.cfg.clone();
+        cfg.exec.time_mode = time_mode;
+        cfg.exec.coalesce = coalesce;
+        cfg
     };
-    let flat_cfg = SweepConfig {
-        time_mode: TimeMode::Adaptive,
-        coalesce: false,
-        ..cli.cfg.clone()
-    };
-    let coalesced_cfg = SweepConfig {
-        time_mode: TimeMode::Adaptive,
-        coalesce: true,
-        ..cli.cfg.clone()
-    };
+    let dense_cfg = mode_cfg(TimeMode::Dense, cli.cfg.exec.coalesce);
+    let flat_cfg = mode_cfg(TimeMode::Adaptive, false);
+    let coalesced_cfg = mode_cfg(TimeMode::Adaptive, true);
     println!(
         "sweeping {} scenarios under TimeMode::Dense ...",
         names.len()
@@ -455,21 +440,18 @@ fn main() -> ExitCode {
             }
             if let Some(path) = &cli.bench_json {
                 // Plain-mode benchmark record: one key per
-                // (quick, scenario-files, span-workers, time-mode)
-                // shape, so the CI span-scaling smoke can log
-                // `span_workers` 1 and 4 side by side and the
-                // fault-injection smoke (file-driven) cannot clobber
-                // either record.
+                // (quick, scenario-files, time-mode) shape, so the
+                // fault-injection smoke (file-driven) cannot clobber a
+                // catalog record, nor a dense run an adaptive one.
                 let key = format!(
-                    "sweep_{}{}span_workers{}{}",
-                    if cli.cfg.quick { "quick_" } else { "" },
+                    "sweep{}{}{}",
+                    if cli.cfg.quick { "_quick" } else { "" },
                     if cli.file_specs.is_empty() {
                         String::new()
                     } else {
-                        format!("files{}_", cli.file_specs.len())
+                        format!("_files{}", cli.file_specs.len())
                     },
-                    cli.cfg.span_workers,
-                    if cli.cfg.time_mode == TimeMode::Dense {
+                    if cli.cfg.exec.time_mode == TimeMode::Dense {
                         "_dense"
                     } else {
                         ""

@@ -57,7 +57,7 @@ use std::time::Duration;
 use aql_core::AqlSched;
 use aql_hv::apptype::VcpuType;
 use aql_hv::{EngineError, RunBudget, RunReport, Simulation, TimeMode};
-use aql_scenarios::{build_sim_seeded_full, parse_policy, ScenarioSpec};
+use aql_scenarios::{build_sim_seeded_tuned, parse_policy, ScenarioSpec};
 
 use crate::journal::{self, JournalEntry};
 
@@ -167,13 +167,6 @@ pub struct ExecOpts {
     /// (default on). Off pins the grid-replaying fast path that is
     /// bit-identical to `Dense` — the CI bench's perf baseline.
     pub coalesce: bool,
-    /// Parallel span-execution lanes *inside* each simulation (see
-    /// `SimulationBuilder::span_workers`; default 1 = serial engine).
-    /// Orthogonal to `threads`, which fans whole cells: `threads`
-    /// scales scenario-level throughput, `span_workers` single-run
-    /// latency on multi-socket machines. Results are byte-identical
-    /// for every value.
-    pub span_workers: usize,
     /// Re-raise the first cell failure instead of recording it —
     /// the pre-containment behaviour, for CI gates that prefer an
     /// abort to a partial table. A contained panic's original payload
@@ -205,7 +198,6 @@ impl Default for ExecOpts {
             threads: 0,
             time_mode: TimeMode::default(),
             coalesce: true,
-            span_workers: 1,
             fail_fast: false,
             max_cell_wall: None,
             retries: 0,
@@ -557,13 +549,12 @@ pub fn execute(cells: &[PlanCell], opts: &ExecOpts) -> Result<Vec<CellResult>, S
                     // no torn state outlives the catch.
                     let ran = catch_unwind(AssertUnwindSafe(|| {
                         let boxed = policy.build(&cell.spec);
-                        let mut sim = build_sim_seeded_full(
+                        let mut sim = build_sim_seeded_tuned(
                             &cell.spec,
                             boxed,
                             cell.base_seed,
                             opts.time_mode,
                             opts.coalesce,
-                            opts.span_workers,
                         );
                         sim.run_measured_budgeted(
                             cell.spec.warmup_ns,

@@ -26,18 +26,15 @@
 //! panicking, livelocked or invariant-breaking cell becomes a
 //! [`CellFailure`] rendered as an explicit `FAIL` in the table, and
 //! every surviving row is byte-identical to a sweep that never
-//! contained the broken cell. [`SweepConfig::journal`] and
-//! [`SweepConfig::resume`] make an interrupted sweep restartable
-//! without re-running finished cells.
+//! contained the broken cell. [`ExecOpts::journal`] and
+//! [`ExecOpts::resume`] (through [`SweepConfig::exec`]) make an
+//! interrupted sweep restartable without re-running finished cells.
 //!
 //! The `sweep` binary (`cargo run --release -p aql_experiments --bin
 //! sweep`) is the CLI over this module.
 
-use std::path::PathBuf;
-use std::time::Duration;
-
 use aql_hv::apptype::VcpuType;
-use aql_hv::{RunReport, TimeMode};
+use aql_hv::RunReport;
 use aql_scenarios::{catalog, classes, parse_policy, ScenarioSpec};
 use aql_sim::rng::derive_seed;
 
@@ -53,39 +50,11 @@ pub struct SweepConfig {
     /// Replicates per scenario; replicate `k` runs at base seed
     /// `derive_seed(scenario_name, k)`.
     pub seeds: usize,
-    /// Worker threads; `0` uses the host's available parallelism.
-    /// The choice never affects the emitted table.
-    pub threads: usize,
     /// Shorten warm-up/measurement (smoke tests, CI).
     pub quick: bool,
-    /// Time-advance mode every cell runs under. The table is
-    /// byte-identical across modes; only the recorded wall times
-    /// differ. Defaults to [`TimeMode::Adaptive`].
-    pub time_mode: TimeMode,
-    /// Whether the adaptive mode may coalesce quiescent-span chunks
-    /// (default on; see `aql_hv::engine::horizon`). The rendered table
-    /// stays byte-identical either way — coalescing drift vanishes at
-    /// rendering precision.
-    pub coalesce: bool,
-    /// Worker lanes for a coalesced span *inside* each simulation
-    /// (see [`aql_hv::SimulationBuilder::span_workers`]). Orthogonal
-    /// to [`threads`](Self::threads): `threads` parallelises across
-    /// matrix cells, `span_workers` across sockets within one cell.
-    /// Results are byte-identical for every value.
-    pub span_workers: usize,
-    /// Wall-clock budget per cell attempt (see
-    /// [`ExecOpts::max_cell_wall`]); `None` = unlimited.
-    pub max_cell_wall: Option<Duration>,
-    /// Retries for environmental (wall-budget) cell failures.
-    pub retries: u32,
-    /// Append-only JSONL journal of completed cells (see
-    /// [`crate::journal`]).
-    pub journal: Option<PathBuf>,
-    /// Skip cells already journaled instead of re-running them;
-    /// requires `journal`.
-    pub resume: bool,
-    /// Re-raise the first cell failure instead of rendering `FAIL`.
-    pub fail_fast: bool,
+    /// How the matrix cells execute: threads, time mode, coalescing,
+    /// budgets, journal and failure handling (see [`ExecOpts`]).
+    pub exec: ExecOpts,
 }
 
 impl Default for SweepConfig {
@@ -96,16 +65,8 @@ impl Default for SweepConfig {
                 .map(|s| s.to_string())
                 .collect(),
             seeds: 1,
-            threads: 0,
             quick: false,
-            time_mode: TimeMode::default(),
-            coalesce: true,
-            span_workers: 1,
-            max_cell_wall: None,
-            retries: 0,
-            journal: None,
-            resume: false,
-            fail_fast: false,
+            exec: ExecOpts::default(),
         }
     }
 }
@@ -231,20 +192,9 @@ pub fn run_sweep_on(specs: &[ScenarioSpec], cfg: &SweepConfig) -> Result<SweepOu
             PlanCell::new(specs[job.scenario_index].clone(), &job.policy).with_seed(job.base_seed)
         })
         .collect();
-    let opts = ExecOpts {
-        threads: cfg.threads,
-        time_mode: cfg.time_mode,
-        coalesce: cfg.coalesce,
-        span_workers: cfg.span_workers,
-        fail_fast: cfg.fail_fast,
-        max_cell_wall: cfg.max_cell_wall,
-        retries: cfg.retries,
-        journal: cfg.journal.clone(),
-        resume: cfg.resume,
-    };
     let results: Vec<SweepResult> = jobs
         .into_iter()
-        .zip(execute(&cells, &opts)?)
+        .zip(execute(&cells, &cfg.exec)?)
         .map(|(job, cell)| SweepResult {
             job,
             report: cell.report,
@@ -365,7 +315,10 @@ mod tests {
         SweepConfig {
             policies: vec!["xen-credit".into(), "aql-sched".into()],
             seeds: 2,
-            threads,
+            exec: ExecOpts {
+                threads,
+                ..ExecOpts::default()
+            },
             ..SweepConfig::default()
         }
     }
@@ -460,9 +413,8 @@ mod tests {
         let cfg = SweepConfig {
             policies: vec!["xen-credit".into()],
             seeds: 1,
-            threads: 1,
             quick: true,
-            ..SweepConfig::default()
+            exec: ExecOpts::serial(),
         };
         let out = run_sweep_on(&specs, &cfg).unwrap();
         // quick() pins the window to 300 ms warm-up + 1 s measured;

@@ -59,7 +59,6 @@ mod exec;
 mod horizon;
 mod machine;
 mod monitor;
-mod spanpool;
 
 #[cfg(test)]
 mod tests;
@@ -156,21 +155,13 @@ pub struct Simulation {
     /// declares itself linear (see `engine::horizon`). Off, the
     /// adaptive mode replays the dense sub-step grid bit-for-bit.
     coalesce: bool,
-    /// Steady-rate memos for the lean execution path and the coalesce
-    /// probes, one per socket (see [`aql_mem::RateCache`]). The split
-    /// is bit-transparent — a miss recomputes the exact bits a hit
-    /// would have served — and is what lets a parallel span hand each
-    /// socket lane its own cache without locking.
-    rate_caches: Vec<RateCache>,
-    /// Persistent worker threads for parallel span execution; `None`
-    /// runs every span on the calling thread (`span_workers <= 1` or a
-    /// single-socket machine).
-    span_pool: Option<spanpool::SpanPool>,
-    /// How many coalesced spans actually executed on the pool (multi-
-    /// socket fan-out, not the serial fallback). Diagnostic only —
-    /// never enters a report; the conformance suites assert it is
-    /// non-zero to prove their determinism checks are not vacuous.
-    parallel_spans: u64,
+    /// Steady-rate memo for the coalesce probes and coalesced chunks
+    /// (see [`aql_mem::RateCache`]), one for the whole machine. Entries
+    /// are per owner (vCPU) and keyed on the exact input bits — profile,
+    /// L2 warmth and the owner's occupancy of the LLC it runs on — so a
+    /// vCPU that changes socket simply misses and recomputes the bits a
+    /// hit would have served.
+    rate_cache: RateCache,
     /// Scheduling-state generation: bumped on every event, dispatch,
     /// preemption, block and yield. The adaptive planner memoizes a
     /// failed quiescent-span plan against this counter — no plan can
@@ -209,22 +200,11 @@ impl Simulation {
         self.time_mode
     }
 
-    /// `(hits, recomputes)` of the steady-rate caches, summed over
-    /// sockets — recomputes count every invalidation-by-key-mismatch
-    /// (contention insertions, migration warmth resets, phase shifts).
+    /// `(hits, recomputes)` of the steady-rate cache — recomputes count
+    /// every invalidation-by-key-mismatch (contention insertions,
+    /// migration warmth resets, phase shifts).
     pub fn rate_cache_stats(&self) -> (u64, u64) {
-        self.rate_caches
-            .iter()
-            .map(|c| c.stats())
-            .fold((0, 0), |(h, r), (ch, cr)| (h + ch, r + cr))
-    }
-
-    /// How many coalesced spans ran on the span pool (multi-socket
-    /// fan-out; the serial fallback does not count). Zero whenever
-    /// `span_workers <= 1`, the machine has one socket, or no span
-    /// ever had two sockets busy.
-    pub fn parallel_span_count(&self) -> u64 {
-        self.parallel_spans
+        self.rate_cache.stats()
     }
 
     /// How many coalesced chunks broke the linear contract and were

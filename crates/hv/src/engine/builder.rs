@@ -22,7 +22,6 @@ pub struct SimulationBuilder {
     substep_ns: u64,
     time_mode: TimeMode,
     coalesce: bool,
-    span_workers: usize,
     trace_capacity: usize,
     vms: Vec<(VmSpec, Box<dyn GuestWorkload>)>,
     policy: Option<Box<dyn SchedPolicy>>,
@@ -37,7 +36,6 @@ impl SimulationBuilder {
             substep_ns: DEFAULT_SUBSTEP_NS,
             time_mode: TimeMode::default(),
             coalesce: true,
-            span_workers: 1,
             trace_capacity: 0,
             vms: Vec::new(),
             policy: None,
@@ -73,21 +71,6 @@ impl SimulationBuilder {
     /// for conformance bisection and the CI perf baseline.
     pub fn coalesce(mut self, on: bool) -> Self {
         self.coalesce = on;
-        self
-    }
-
-    /// Number of threads (including the calling one) a coalesced span
-    /// may fan its per-socket execution across (default 1 = fully
-    /// serial). Capped at the machine's socket count — sockets are the
-    /// unit of isolation, so more lanes than sockets cannot help.
-    /// Results are byte-identical for every value: each socket's slots
-    /// run serially in pCPU order on one lane, and the merge back into
-    /// the scheduler core is ordered by socket index, not thread
-    /// arrival. Ignored by [`TimeMode::Dense`] and with coalescing
-    /// disabled.
-    pub fn span_workers(mut self, n: usize) -> Self {
-        assert!(n > 0, "span_workers must be positive");
-        self.span_workers = n;
         self
     }
 
@@ -157,11 +140,6 @@ impl SimulationBuilder {
         // the first 30 ms are not artificially BOOST-starved.
         refill_credits(&mut hv.vcpus, &hv.vms, &hv.pools);
         let vcpu_count = hv.vcpus.len();
-        let sockets = hv.machine.sockets;
-        // One lane per socket at most; extra workers would idle.
-        let lanes = self.span_workers.min(sockets);
-        let span_pool = (self.time_mode == TimeMode::Adaptive && self.coalesce && lanes > 1)
-            .then(|| super::spanpool::SpanPool::new(lanes - 1));
         let mut sim = Simulation {
             hv,
             workloads,
@@ -173,11 +151,7 @@ impl SimulationBuilder {
             substep_ns: self.substep_ns,
             time_mode: self.time_mode,
             coalesce: self.coalesce,
-            rate_caches: (0..sockets)
-                .map(|_| aql_mem::RateCache::new(vcpu_count))
-                .collect(),
-            span_pool,
-            parallel_spans: 0,
+            rate_cache: aql_mem::RateCache::new(vcpu_count),
             budget: None,
             contract_breaks: 0,
             sched_gen: 0,

@@ -154,7 +154,7 @@ impl Simulation {
             owner: vid.index(),
             running_slots: &self.vm_running[vm],
             lean,
-            rate_cache: (lean && coalesced).then(|| &mut self.rate_caches[socket]),
+            rate_cache: (lean && coalesced).then_some(&mut self.rate_cache),
         };
         let mut out = self.workloads[vm].run(slot, budget, &mut ctx);
         debug_assert!(

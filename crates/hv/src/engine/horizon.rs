@@ -67,16 +67,12 @@
 //! counted ([`Simulation::coalesce_break_count`]), traced, and
 //! likewise completed through the dense continuation at span scale.
 
-use aql_mem::{CacheSpec, LlcState, RateCache};
-use aql_sim::rng::SimRng;
 use aql_sim::time::{whole_steps, SimTime};
 
 use super::{Simulation, TimeMode};
 use crate::ids::PcpuId;
-use crate::vm::{Vcpu, VcpuState};
-use crate::workload::{
-    CoalesceHint, CoalesceProbe, ExecContext, GuestWorkload, Horizon, RunOutcome, StopReason,
-};
+use crate::vm::VcpuState;
+use crate::workload::{CoalesceHint, CoalesceProbe, Horizon, StopReason};
 
 /// Smallest quiescent span (in sub-steps) worth fast-forwarding.
 /// Below this, planning a span (slot hoisting, accounting flush) costs
@@ -97,105 +93,6 @@ pub(super) struct FastSlot {
     /// CPU time accumulated by this slot during the span (flushed into
     /// the u64 accounting fields at span exit).
     acc_ns: u64,
-}
-
-/// Seed base for the per-socket scratch RNGs of a parallel span. The
-/// coalesce contract forbids shared-RNG draws, so the scratch streams
-/// are never consumed — they exist only to satisfy [`ExecContext`],
-/// and their (deterministic) seeding is immaterial to any result. The
-/// serial-vs-parallel conformance suite would catch a workload that
-/// drew from one.
-const SPAN_RNG_SEED: u64 = 0x005e_a50c_4e7a_11e1;
-
-/// How a coalesced span's execution was carried out.
-enum SpanExec {
-    /// The span is ineligible for the pool (no pool, one socket busy,
-    /// or a VM's running slots straddle sockets); the caller runs the
-    /// serial loop, byte-for-byte the pre-parallel code.
-    Serial,
-    /// Every slot conformed; accumulators are credited, the caller
-    /// advances the clock and continues the span.
-    Clean,
-    /// A slot broke the coalesce contract (in-tree workloads never do;
-    /// fault-injected ones may — the break is counted and traced).
-    /// Recovery — accounting flush, stop-reason handling, dense
-    /// completion of the window, clock advance — already happened; the
-    /// caller abandons the span.
-    Aborted,
-}
-
-/// One slot's execution order within a [`SocketSpan`]: everything the
-/// worker-side chunk runner needs that is not socket-wide.
-struct SpanJob<'a> {
-    /// VM index (into the simulation's workload table).
-    vm: usize,
-    /// Slot index local to the VM.
-    slot: usize,
-    /// LLC owner index (global vCPU index).
-    owner: usize,
-    /// Index into the owning [`SocketSpan::wls`].
-    wl_idx: usize,
-    /// The running vCPU (PMU counters, L2 warmth).
-    vcpu: &'a mut Vcpu,
-}
-
-/// One socket lane of a parallel span: exclusive ownership of the
-/// socket's LLC and rate cache plus the jobs of every busy pCPU on the
-/// socket, in pCPU order. Running the jobs serially on one lane makes
-/// each socket's f64 call sequence identical to the serial loop's —
-/// cross-socket interleaving has no data overlap, so the results are
-/// bit-identical for any worker count.
-struct SocketSpan<'a> {
-    socket: usize,
-    llc: &'a mut LlcState,
-    cache: &'a mut RateCache,
-    /// Scratch stream (see [`SPAN_RNG_SEED`]); never drawn from by a
-    /// conforming workload.
-    rng: SimRng,
-    spec: &'a CacheSpec,
-    /// The whole `vm_running` table (shared, read-only during a span);
-    /// jobs index it by VM.
-    vm_running: &'a [Vec<bool>],
-    jobs: Vec<SpanJob<'a>>,
-    /// The distinct workloads driven by this lane's jobs. A VM whose
-    /// running slots straddle sockets is ineligible (checked up
-    /// front), so each workload belongs to exactly one lane.
-    wls: Vec<&'a mut Box<dyn GuestWorkload>>,
-    /// Outcomes in job (pCPU) order, filled by the worker.
-    outs: Vec<RunOutcome>,
-    budget: u64,
-    now: SimTime,
-}
-
-/// The worker-side chunk runner: the parallel twin of
-/// `Simulation::run_chunk` for whole-span coalesced chunks, one lane's
-/// jobs back to back in pCPU order.
-fn run_socket_span(t: &mut SocketSpan<'_>) {
-    let budget = t.budget;
-    for ji in 0..t.jobs.len() {
-        let job = &mut t.jobs[ji];
-        let v = &mut *job.vcpu;
-        let mut ctx = ExecContext {
-            now: t.now,
-            spec: t.spec,
-            llc: &mut *t.llc,
-            pmu: &mut v.pmu,
-            l2_warmth: &mut v.l2_warmth,
-            rng: &mut t.rng,
-            owner: job.owner,
-            running_slots: &t.vm_running[job.vm],
-            lean: true,
-            rate_cache: Some(&mut *t.cache),
-        };
-        let mut out = t.wls[job.wl_idx].run(job.slot, budget, &mut ctx);
-        debug_assert!(
-            out.used_ns <= budget,
-            "workload '{}' overran its budget",
-            t.wls[job.wl_idx].name()
-        );
-        out.used_ns = out.used_ns.min(budget);
-        t.outs.push(out);
-    }
 }
 
 impl Simulation {
@@ -323,10 +220,11 @@ impl Simulation {
 
     /// Fast-forwards whole sub-steps across a proven-quiescent span:
     /// per grid point, one execution chunk per busy pCPU (in pCPU
-    /// order, exactly like `advance_all`) and nothing else. Exits at
-    /// the last grid point before `span_end`, or at the first sub-step
-    /// where a workload deviated from its horizon promise (that
-    /// sub-step is completed densely before returning).
+    /// order, exactly like `advance_all`) and nothing else, or one
+    /// coalesced chunk per busy pCPU for many grid points at once.
+    /// Exits at the last grid point before `span_end`, or after the
+    /// first window in which a workload deviated from its promise
+    /// (that window is completed densely before returning).
     fn fast_forward(&mut self, span_end: SimTime) {
         let dt = self.substep_ns;
         let mut slots = std::mem::take(&mut self.scratch.fast_slots);
@@ -359,7 +257,7 @@ impl Simulation {
         // probes off hopeless spans.
         let mut probe_in: u64 = 0;
         let mut probe_backoff: u64 = 1;
-        'span: while steps > 0 {
+        while steps > 0 {
             // Chunk coalescing: when every running slot signs the
             // linear contract (pure-rate execution at the memory
             // fixpoint, no scheduler-visible act, no shared state), the
@@ -369,117 +267,88 @@ impl Simulation {
             // accumulated metrics; every u64 account and every event is
             // exact (the tolerance conformance suite and the rendered
             // goldens pin this).
+            let mut k = 1;
             if self.coalesce && steps >= 2 && probe_in == 0 {
-                if let Some(k) = self.coalescible_steps(&slots, steps, dt) {
-                    let budget = k * dt;
-                    // Multi-socket spans fan across the span pool when
-                    // one exists; the serial loop below is the
-                    // single-lane fallback and the bit-identity
-                    // reference (see `run_span_parallel`).
-                    match self.run_span_parallel(&mut slots, budget) {
-                        SpanExec::Clean => {
-                            self.now += budget;
-                            steps -= k;
-                            continue 'span;
-                        }
-                        SpanExec::Aborted => {
-                            slots.clear();
-                            break 'span;
-                        }
-                        SpanExec::Serial => {}
+                match self.coalescible_steps(&slots, steps, dt) {
+                    Some(n) => k = n,
+                    None => {
+                        probe_in = probe_backoff;
+                        probe_backoff = (probe_backoff * 2).min(64);
                     }
-                    for i in 0..slots.len() {
-                        let s = slots[i];
-                        let out =
-                            self.run_chunk(s.vid, s.vm, s.slot, s.socket, budget, self.now, true);
-                        if out.used_ns == budget && out.stop == StopReason::BudgetExhausted {
-                            slots[i].acc_ns += budget;
-                            continue;
-                        }
-                        // A linear hint lied. In-tree workloads never
-                        // do this; fault injection (`coalesce-break`)
-                        // does it on purpose. Count it, say so, and
-                        // recover by finishing the span window densely
-                        // from the deviation, exactly like a broken
-                        // horizon promise.
-                        self.contract_breaks += 1;
-                        self.trace.emit(self.now, || {
-                            format!(
-                                "coalesce contract broken by vm {} slot {}; \
-                                 recovering densely",
-                                s.vm, s.slot
-                            )
-                        });
-                        slots[i].acc_ns += out.used_ns;
-                        self.flush_fast_accounting(&mut slots);
-                        match out.stop {
-                            StopReason::BudgetExhausted => {}
-                            StopReason::Blocked => self.block(s.pcpu, s.vid),
-                            StopReason::Yielded => self.yield_requeue(s.pcpu, s.vid),
-                        }
-                        let spins = u32::from(out.used_ns == 0);
-                        self.advance_pcpu_from(s.pcpu, out.used_ns, budget, spins);
-                        for pj in (s.pcpu + 1)..self.hv.pcpus.len() {
-                            self.advance_pcpu_from(pj, 0, budget, 0);
-                        }
-                        self.now += budget;
-                        slots.clear();
-                        break 'span;
-                    }
-                    self.now += budget;
-                    steps -= k;
-                    // A slot's linear window may have capped `k` (phase
-                    // boundary): the tail re-probes immediately and
-                    // otherwise resumes on the per-step grid.
-                    continue 'span;
-                    // (A broken contract above breaks out of 'span via
-                    // the shared epilogue, like the grid-path recovery.)
                 }
-                probe_in = probe_backoff;
-                probe_backoff = (probe_backoff * 2).min(64);
             }
-            probe_in = probe_in.saturating_sub(1);
-            for i in 0..slots.len() {
-                let s = slots[i];
-                // The span proof guarantees the slice outlives this
-                // sub-step; the budget is always the full grid step.
-                debug_assert!(
-                    self.hv.vcpus[s.vid.index()]
-                        .slice_end
-                        .saturating_since(self.now)
-                        >= dt
-                );
-                let out = self.run_chunk(s.vid, s.vm, s.slot, s.socket, dt, self.now, false);
-                if out.used_ns == dt && out.stop == StopReason::BudgetExhausted {
-                    slots[i].acc_ns += dt;
-                    continue;
-                }
-                // Horizon promise broken: flush the span accounting,
-                // replay the dense stop-reason handling for this chunk
-                // and finish the sub-step densely for this pCPU and
-                // every later one — byte-for-byte what the dense loop
-                // would have done from here.
-                slots[i].acc_ns += out.used_ns;
-                self.flush_fast_accounting(&mut slots);
-                match out.stop {
-                    StopReason::BudgetExhausted => {}
-                    StopReason::Blocked => self.block(s.pcpu, s.vid),
-                    StopReason::Yielded => self.yield_requeue(s.pcpu, s.vid),
-                }
-                let spins = u32::from(out.used_ns == 0);
-                self.advance_pcpu_from(s.pcpu, out.used_ns, dt, spins);
-                for pj in (s.pcpu + 1)..self.hv.pcpus.len() {
-                    self.advance_pcpu_from(pj, 0, dt, 0);
-                }
-                self.now += dt;
-                slots.clear();
-                break 'span;
+            // After a coalesced window the tail re-probes immediately: a
+            // slot's linear window may have capped `k` (phase boundary).
+            if k == 1 {
+                probe_in = probe_in.saturating_sub(1);
             }
-            self.now += dt;
-            steps -= 1;
+            if !self.run_window(&mut slots, k * dt, k > 1) {
+                break;
+            }
+            steps -= k;
         }
         self.flush_fast_accounting(&mut slots);
         self.scratch.fast_slots = slots;
+    }
+
+    /// Runs one `window`-ns chunk per busy slot, in pCPU order, and
+    /// advances the clock past it: a single grid sub-step, or a whole
+    /// coalesced span (`coalesced`, issued under the linear contract).
+    ///
+    /// Returns `false` when a slot deviated from its promise — a
+    /// broken horizon on the grid, a broken linear contract when
+    /// coalesced. The window is then finished densely from the
+    /// deviation and `slots` is emptied; the caller abandons the span.
+    fn run_window(&mut self, slots: &mut Vec<FastSlot>, window: u64, coalesced: bool) -> bool {
+        for i in 0..slots.len() {
+            let s = slots[i];
+            // The span proof guarantees the slice outlives the window.
+            debug_assert!(
+                self.hv.vcpus[s.vid.index()]
+                    .slice_end
+                    .saturating_since(self.now)
+                    >= window
+            );
+            let out = self.run_chunk(s.vid, s.vm, s.slot, s.socket, window, self.now, coalesced);
+            if out.used_ns == window && out.stop == StopReason::BudgetExhausted {
+                slots[i].acc_ns += window;
+                continue;
+            }
+            if coalesced {
+                // A linear hint lied. In-tree workloads never do this;
+                // fault injection (`coalesce-break`) does it on
+                // purpose. Count it and say so; the recovery is the
+                // broken-horizon one.
+                self.contract_breaks += 1;
+                self.trace.emit(self.now, || {
+                    format!(
+                        "coalesce contract broken by vm {} slot {}; recovering densely",
+                        s.vm, s.slot
+                    )
+                });
+            }
+            // Flush the span accounting, replay the dense stop-reason
+            // handling for this chunk and finish the window densely for
+            // this pCPU and every later one. On a grid window that is
+            // byte-for-byte what the dense loop would have done.
+            slots[i].acc_ns += out.used_ns;
+            self.flush_fast_accounting(slots);
+            match out.stop {
+                StopReason::BudgetExhausted => {}
+                StopReason::Blocked => self.block(s.pcpu, s.vid),
+                StopReason::Yielded => self.yield_requeue(s.pcpu, s.vid),
+            }
+            let spins = u32::from(out.used_ns == 0);
+            self.advance_pcpu_from(s.pcpu, out.used_ns, window, spins);
+            for pj in (s.pcpu + 1)..self.hv.pcpus.len() {
+                self.advance_pcpu_from(pj, 0, window, 0);
+            }
+            self.now += window;
+            slots.clear();
+            return false;
+        }
+        self.now += window;
+        true
     }
 
     /// The adaptive twin of [`Simulation::advance_all`]: advances every
@@ -534,194 +403,6 @@ impl Simulation {
         self.scratch.pool_stealable = flags;
     }
 
-    /// Executes one coalesced span's chunks across the span pool, one
-    /// worker lane per busy socket, and merges the results back in
-    /// socket order.
-    ///
-    /// # Eligibility
-    ///
-    /// Falls back to [`SpanExec::Serial`] (the caller's pre-parallel
-    /// loop, byte-for-byte) unless a pool exists, at least two sockets
-    /// have busy pCPUs, and no VM's running slots straddle sockets (a
-    /// VM is one `GuestWorkload` object — one `&mut`, one lane).
-    ///
-    /// # Determinism
-    ///
-    /// Each lane owns its socket's LLC and rate cache exclusively and
-    /// runs its slots serially in pCPU order — the same per-socket
-    /// call sequence the serial loop produces, since cross-socket
-    /// chunks share no mutable state (the coalesce contract forbids
-    /// shared-RNG draws and shared-LLC mutation). The merge walks
-    /// slots in pCPU (= socket-major) order, so accounting sums, PMU
-    /// samples and metric sums land in a thread-arrival-independent
-    /// order. Results are therefore bit-identical for every
-    /// `span_workers` value, including 1.
-    fn run_span_parallel(&mut self, slots: &mut [FastSlot], budget: u64) -> SpanExec {
-        if self.span_pool.is_none() || slots.is_empty() {
-            return SpanExec::Serial;
-        }
-        // Slots are pCPU-ordered and pCPUs are socket-major, so socket
-        // indices are nondecreasing: one comparison finds multi-socket
-        // spans, and lane groups are contiguous runs.
-        debug_assert!(slots.windows(2).all(|w| w[0].socket <= w[1].socket));
-        if slots[0].socket == slots[slots.len() - 1].socket {
-            return SpanExec::Serial;
-        }
-        for (i, a) in slots.iter().enumerate() {
-            if slots[i + 1..]
-                .iter()
-                .any(|b| b.vm == a.vm && b.socket != a.socket)
-            {
-                return SpanExec::Serial;
-            }
-        }
-        let outcomes: Vec<RunOutcome> = {
-            let sim = &mut *self;
-            let Simulation {
-                hv,
-                workloads,
-                vm_running,
-                rate_caches,
-                span_pool,
-                now,
-                ..
-            } = sim;
-            let super::Hypervisor {
-                vcpus,
-                llcs,
-                machine,
-                ..
-            } = hv;
-            // Exclusive borrow dispatch: each socket's LLC and rate
-            // cache, each running vCPU and each VM's workload is taken
-            // out of its table exactly once and moved into its lane.
-            let mut vcpu_refs: Vec<Option<&mut Vcpu>> = vcpus.iter_mut().map(Some).collect();
-            let mut llc_refs: Vec<Option<&mut LlcState>> = llcs.iter_mut().map(Some).collect();
-            let mut cache_refs: Vec<Option<&mut RateCache>> =
-                rate_caches.iter_mut().map(Some).collect();
-            let mut wl_refs: Vec<Option<&mut Box<dyn GuestWorkload>>> =
-                workloads.iter_mut().map(Some).collect();
-            let mut tasks: Vec<SocketSpan<'_>> = Vec::new();
-            for s in slots.iter() {
-                if tasks.last().map(|t| t.socket) != Some(s.socket) {
-                    tasks.push(SocketSpan {
-                        socket: s.socket,
-                        llc: llc_refs[s.socket].take().expect("one lane per socket"),
-                        cache: cache_refs[s.socket].take().expect("one lane per socket"),
-                        rng: SimRng::seed_from(SPAN_RNG_SEED ^ s.socket as u64),
-                        spec: &machine.cache,
-                        vm_running,
-                        jobs: Vec::new(),
-                        wls: Vec::new(),
-                        outs: Vec::new(),
-                        budget,
-                        now: *now,
-                    });
-                }
-                let t = tasks.last_mut().expect("just ensured");
-                let wl_idx = match t.jobs.iter().find(|j| j.vm == s.vm) {
-                    Some(j) => j.wl_idx,
-                    None => {
-                        t.wls.push(
-                            wl_refs[s.vm]
-                                .take()
-                                .expect("straddling VMs were ruled out above"),
-                        );
-                        t.wls.len() - 1
-                    }
-                };
-                t.jobs.push(SpanJob {
-                    vm: s.vm,
-                    slot: s.slot,
-                    owner: s.vid.index(),
-                    wl_idx,
-                    vcpu: vcpu_refs[s.vid.index()]
-                        .take()
-                        .expect("one running slot per vCPU"),
-                });
-            }
-            // Concurrency-contract auditor (debug builds): each lane's
-            // LLC panics on any mutation by an owner outside the lane.
-            #[cfg(debug_assertions)]
-            for t in tasks.iter_mut() {
-                let owners: Vec<usize> = t.jobs.iter().map(|j| j.owner).collect();
-                t.llc.audit_arm(&owners);
-            }
-            {
-                let mut closures: Vec<_> = tasks
-                    .iter_mut()
-                    .map(|t| move || run_socket_span(t))
-                    .collect();
-                let mut jobs: Vec<&mut (dyn FnMut() + Send)> = closures
-                    .iter_mut()
-                    .map(|c| c as &mut (dyn FnMut() + Send))
-                    .collect();
-                span_pool.as_ref().expect("checked above").run(&mut jobs);
-            }
-            #[cfg(debug_assertions)]
-            for t in tasks.iter_mut() {
-                t.llc.audit_disarm();
-            }
-            // Socket-ordered merge: lanes are socket-ascending and lane
-            // jobs are pCPU-ascending, so this concatenation is exactly
-            // slot order.
-            tasks.iter().flat_map(|t| t.outs.iter().copied()).collect()
-        };
-        debug_assert_eq!(outcomes.len(), slots.len());
-        self.parallel_spans += 1;
-        let mut clean = true;
-        for (i, out) in outcomes.iter().enumerate() {
-            if out.used_ns == budget && out.stop == StopReason::BudgetExhausted {
-                slots[i].acc_ns += budget;
-            } else {
-                self.contract_breaks += 1;
-                self.trace.emit(self.now, || {
-                    format!(
-                        "coalesce contract broken by vm {} slot {}; recovering densely",
-                        slots[i].vm, slots[i].slot
-                    )
-                });
-                slots[i].acc_ns += out.used_ns;
-                clean = false;
-            }
-        }
-        if clean {
-            return SpanExec::Clean;
-        }
-        // Contract-break recovery, parallel flavour. Unlike the serial
-        // loop — which stops at the first deviator, leaving later slots
-        // unrun — every slot has already executed its chunk here, so
-        // the recovery credits what actually ran, replays each
-        // deviator's stop reason and dense continuation in pCPU order,
-        // and completes the window on the idle pCPUs (a yielded
-        // deviator may now be stealable). Conforming workloads never
-        // reach either recovery; they exist so a lying hint costs
-        // speed and a counted contract break, never
-        // divergence-by-corruption.
-        self.flush_fast_accounting(slots);
-        for (i, out) in outcomes.iter().enumerate() {
-            let conforming = out.used_ns == budget && out.stop == StopReason::BudgetExhausted;
-            if conforming {
-                continue;
-            }
-            let s = slots[i];
-            match out.stop {
-                StopReason::BudgetExhausted => {}
-                StopReason::Blocked => self.block(s.pcpu, s.vid),
-                StopReason::Yielded => self.yield_requeue(s.pcpu, s.vid),
-            }
-            let spins = u32::from(out.used_ns == 0);
-            self.advance_pcpu_from(s.pcpu, out.used_ns, budget, spins);
-        }
-        for pj in 0..self.hv.pcpus.len() {
-            if slots.iter().all(|s| s.pcpu != pj) {
-                self.advance_pcpu_from(pj, 0, budget, 0);
-            }
-        }
-        self.now += budget;
-        SpanExec::Aborted
-    }
-
     /// How many of the span's `steps` grid steps may be coalesced into
     /// a single execution chunk per slot: `None` unless **every**
     /// running slot signs the linear contract ([`CoalesceHint`]) for at
@@ -736,7 +417,7 @@ impl Simulation {
                 l2_warmth: self.hv.vcpus[s.vid.index()].l2_warmth,
                 owner: s.vid.index(),
                 running_slots: &self.vm_running[s.vm],
-                rate_cache: &mut self.rate_caches[s.socket],
+                rate_cache: &mut self.rate_cache,
             };
             match self.workloads[s.vm].coalesce(s.slot, &mut probe) {
                 CoalesceHint::No => return None,

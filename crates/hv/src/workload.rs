@@ -331,13 +331,7 @@ impl WorkloadMetrics {
 ///
 /// One object drives all the VM's vCPU slots; slot indices are local
 /// to the VM (`0..vcpu_slots()`).
-///
-/// `Send` is a supertrait because the parallel span executor
-/// (`engine::horizon`) may run a VM's coalesced chunk on a worker
-/// thread of the span pool. Workload state is only ever *accessed*
-/// from one thread at a time — the engine hands each VM to exactly one
-/// socket lane per span — so `Sync` is not required.
-pub trait GuestWorkload: Send {
+pub trait GuestWorkload {
     /// Short human-readable name (e.g. `"SPECweb2009"`).
     fn name(&self) -> &str;
 

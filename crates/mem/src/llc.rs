@@ -99,15 +99,6 @@ pub struct LlcState {
     exp_memo: (u64, f64),
     /// Lean insertions since the last active-set compaction.
     prune_tick: u32,
-    /// Concurrency-contract auditor (debug builds only). While armed
-    /// ([`LlcState::audit_arm`]), every mutating entry point panics
-    /// unless its owner is in the allowed set — the engine arms each
-    /// socket's LLC with the owners of that socket's lane for the
-    /// duration of a parallel span, so a cross-socket mutation (a
-    /// coalesce-contract break that would race under parallel
-    /// execution) fails loudly instead of silently drifting.
-    #[cfg(debug_assertions)]
-    audit: Option<Vec<bool>>,
 }
 
 impl LlcState {
@@ -125,52 +116,6 @@ impl LlcState {
             is_active: vec![false; owners],
             exp_memo: (u64::MAX, 1.0),
             prune_tick: 0,
-            #[cfg(debug_assertions)]
-            audit: None,
-        }
-    }
-
-    /// Arms the per-socket access auditor: until
-    /// [`LlcState::audit_disarm`], any mutating call whose owner is not
-    /// in `allowed` panics. Debug builds only — in release both methods
-    /// are no-ops and the auditor costs nothing.
-    pub fn audit_arm(&mut self, _allowed: &[usize]) {
-        #[cfg(debug_assertions)]
-        {
-            let mut mask = vec![false; self.occ.len()];
-            for &o in _allowed {
-                if o >= mask.len() {
-                    mask.resize(o + 1, false);
-                }
-                mask[o] = true;
-            }
-            self.audit = Some(mask);
-        }
-    }
-
-    /// Disarms the access auditor (see [`LlcState::audit_arm`]).
-    pub fn audit_disarm(&mut self) {
-        #[cfg(debug_assertions)]
-        {
-            self.audit = None;
-        }
-    }
-
-    /// The auditor's gate, called by every mutating entry point.
-    #[inline]
-    fn audit_check(&self, _owner: usize) {
-        #[cfg(debug_assertions)]
-        if let Some(allowed) = &self.audit {
-            assert!(
-                allowed.get(_owner).copied().unwrap_or(false),
-                "LLC access audit: owner {_owner} mutated a socket's LLC outside \
-                 its parallel-span lane (allowed owners: {:?})",
-                allowed
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &a)| a.then_some(i))
-                    .collect::<Vec<_>>()
-            );
         }
     }
 
@@ -219,7 +164,6 @@ impl LlcState {
     /// Records that `owner` re-referenced `frac` of its working set
     /// (`frac` may exceed 1; freshness saturates at 1).
     pub fn touch_frac(&mut self, owner: usize, frac: f64) {
-        self.audit_check(owner);
         self.ensure_owners(owner + 1);
         let f = &mut self.freshness[owner];
         *f = (*f + frac.max(0.0)).min(1.0);
@@ -244,7 +188,6 @@ impl LlcState {
     /// (LRU approximation via freshness).
     pub fn insert(&mut self, owner: usize, bytes: f64, max_bytes: f64) {
         debug_assert!(bytes >= 0.0 && max_bytes >= 0.0);
-        self.audit_check(owner);
         self.ensure_owners(owner + 1);
         let cur = self.occ[owner];
         let grown = (cur + bytes).min(max_bytes.max(cur));
@@ -337,7 +280,6 @@ impl LlcState {
     /// equivalence.
     pub fn insert_lean(&mut self, owner: usize, bytes: f64, max_bytes: f64) {
         debug_assert!(bytes >= 0.0 && max_bytes >= 0.0);
-        self.audit_check(owner);
         self.prune_tick += 1;
         if self.prune_tick >= PRUNE_PERIOD {
             self.prune_tick = 0;
@@ -550,7 +492,6 @@ impl LlcState {
     /// Removes the owner's footprint entirely (socket migration or VM
     /// teardown).
     pub fn evict_owner(&mut self, owner: usize) {
-        self.audit_check(owner);
         if let Some(o) = self.occ.get_mut(owner) {
             if *o != 0.0 {
                 self.epoch = self.epoch.wrapping_add(1);
@@ -751,37 +692,5 @@ mod tests {
         for i in 0..3 {
             assert!(llc.occupancy(i) >= 0.0);
         }
-    }
-
-    #[test]
-    fn armed_auditor_admits_allowed_owners() {
-        let mut llc = LlcState::new(1000.0, 4);
-        llc.audit_arm(&[1, 2]);
-        llc.insert(1, 100.0, 1e9);
-        llc.insert_lean(2, 100.0, 1e9);
-        llc.touch_frac(1, 0.5);
-        llc.evict_owner(2);
-        llc.audit_disarm();
-        // Disarmed: every owner is fair game again.
-        llc.insert(0, 50.0, 1e9);
-        llc.touch_frac(3, 1.0);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "LLC access audit")]
-    fn armed_auditor_rejects_cross_lane_mutation() {
-        let mut llc = LlcState::new(1000.0, 4);
-        llc.audit_arm(&[0, 1]);
-        llc.insert_lean(3, 100.0, 1e9);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "LLC access audit")]
-    fn armed_auditor_rejects_cross_lane_touch() {
-        let mut llc = LlcState::new(1000.0, 4);
-        llc.audit_arm(&[2]);
-        llc.touch_frac(0, 0.1);
     }
 }

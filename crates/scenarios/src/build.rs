@@ -157,28 +157,11 @@ pub fn build_sim_seeded_tuned(
     mode: TimeMode,
     coalesce: bool,
 ) -> Simulation {
-    build_sim_seeded_full(spec, policy, base_seed, mode, coalesce, 1)
-}
-
-/// [`build_sim_seeded_tuned`] with explicit parallel span execution:
-/// `span_workers` threads (including the calling one) fan a coalesced
-/// span's per-socket slots across the engine's span pool (see
-/// `SimulationBuilder::span_workers`). Results are byte-identical for
-/// every value — 1 is fully serial.
-pub fn build_sim_seeded_full(
-    spec: &ScenarioSpec,
-    policy: Box<dyn SchedPolicy>,
-    base_seed: u64,
-    mode: TimeMode,
-    coalesce: bool,
-    span_workers: usize,
-) -> Simulation {
     SimulationBuilder::new(machine(spec))
         .seed(base_seed)
         .substep_ns(spec.substep_ns)
         .time_mode(mode)
         .coalesce(coalesce)
-        .span_workers(span_workers)
         .policy(policy)
         .vms(expand_seeded(spec, base_seed))
         .build()
@@ -216,20 +199,6 @@ pub fn run_seeded_tuned(
     coalesce: bool,
 ) -> RunReport {
     build_sim_seeded_tuned(spec, policy, base_seed, mode, coalesce)
-        .run_measured(spec.warmup_ns, spec.measure_ns)
-}
-
-/// [`run_seeded_tuned`] with explicit parallel span execution (see
-/// [`build_sim_seeded_full`]).
-pub fn run_seeded_full(
-    spec: &ScenarioSpec,
-    policy: Box<dyn SchedPolicy>,
-    base_seed: u64,
-    mode: TimeMode,
-    coalesce: bool,
-    span_workers: usize,
-) -> RunReport {
-    build_sim_seeded_full(spec, policy, base_seed, mode, coalesce, span_workers)
         .run_measured(spec.warmup_ns, spec.measure_ns)
 }
 

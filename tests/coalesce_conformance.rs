@@ -38,13 +38,15 @@ use proptest::prelude::*;
 /// Scenarios where coalescing actually engages (solo and lightly
 /// loaded regimes) plus contended ones where it must stay out of the
 /// way, crossed with every span-limiting policy mechanism.
-const SCENARIOS: [&str; 6] = [
+/// `parsec-batch` adds a two-socket machine.
+const SCENARIOS: [&str; 7] = [
     "solo-calibration",
     "pinned-calibration",
     "nightly-lull",
     "vtrs-live",
     "s3",
     "quickstart",
+    "parsec-batch",
 ];
 const POLICIES: [&str; 5] = [
     "xen-credit",
@@ -140,6 +142,7 @@ fn random_vm(
 
 fn run_random(
     mode: TimeMode,
+    sockets: usize,
     cores: usize,
     kinds: &[u64],
     seed: u64,
@@ -147,7 +150,7 @@ fn run_random(
     measure_ns: u64,
 ) -> aql_sched::hv::RunReport {
     let cache = CacheSpec::i7_3770();
-    let mut b = SimulationBuilder::new(MachineSpec::custom("rand", 1, cores, cache))
+    let mut b = SimulationBuilder::new(MachineSpec::custom("rand", sockets, cores, cache))
         .seed(seed)
         .time_mode(mode);
     for (i, &k) in kinds.iter().enumerate() {
@@ -164,13 +167,14 @@ fn run_random(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For random machines, workload mixes and run lengths: coalesced
-    /// adaptive runs keep every per-VM `cpu_ns` **exactly** equal to
-    /// the dense oracle (integer accounting and dispatch decisions are
-    /// untouched by coalescing) and every f64 metric within 1e-6
-    /// relative.
+    /// For random machines (1–4 sockets), workload mixes and run
+    /// lengths: coalesced adaptive runs keep every per-VM `cpu_ns`
+    /// **exactly** equal to the dense oracle (integer accounting and
+    /// dispatch decisions are untouched by coalescing) and every f64
+    /// metric within 1e-6 relative.
     #[test]
     fn random_mixes_conform(
+        sockets in 1usize..5,
         cores in 1usize..4,
         kinds in prop::collection::vec(0u64..8, 1..7),
         seed in 1u64..10_000,
@@ -178,10 +182,10 @@ proptest! {
         measure_ms in 50u64..700,
     ) {
         let dense = run_random(
-            TimeMode::Dense, cores, &kinds, seed, warmup_ms * MS, measure_ms * MS,
+            TimeMode::Dense, sockets, cores, &kinds, seed, warmup_ms * MS, measure_ms * MS,
         );
         let adaptive = run_random(
-            TimeMode::Adaptive, cores, &kinds, seed, warmup_ms * MS, measure_ms * MS,
+            TimeMode::Adaptive, sockets, cores, &kinds, seed, warmup_ms * MS, measure_ms * MS,
         );
         common::assert_reports_conform(&dense, &adaptive, common::REL_TOL, "random mix");
     }

@@ -8,11 +8,6 @@
 //! drift by at most [`REL_TOL`] relative (coalesced summation order
 //! plus snapped sub-epsilon cache traffic).
 
-// Each conformance target compiles its own copy of this module and
-// uses only its arm of the oracle (tolerance vs bitwise), so the
-// other arm is dead code *per target* while live for the suite.
-#![allow(dead_code)]
-
 use aql_sched::hv::workload::WorkloadMetrics;
 use aql_sched::hv::RunReport;
 
@@ -56,94 +51,6 @@ pub fn assert_reports_conform(dense: &RunReport, adaptive: &RunReport, tol: f64,
             "{vm}: pool migrations must be exact"
         );
         assert_metrics_conform(&d.metrics, &a.metrics, tol, &vm);
-    }
-}
-
-/// Asserts two reports are **bit-identical**: every integer field
-/// equal and every f64 field equal by `to_bits`. This is the
-/// parallel-span contract — per-socket summation order is fixed by
-/// socket index, so any `span_workers` value must reproduce the serial
-/// coalesced run exactly, not merely within tolerance.
-pub fn assert_reports_bitwise(serial: &RunReport, parallel: &RunReport, ctx: &str) {
-    assert_eq!(serial.sim_ns, parallel.sim_ns, "{ctx}: sim_ns");
-    assert_eq!(serial.policy, parallel.policy, "{ctx}: policy");
-    assert_eq!(
-        serial.pcpu_busy_ns, parallel.pcpu_busy_ns,
-        "{ctx}: pCPU busy accounting"
-    );
-    assert_eq!(serial.vms.len(), parallel.vms.len(), "{ctx}: VM count");
-    for (s, p) in serial.vms.iter().zip(&parallel.vms) {
-        let vm = format!("{ctx}/{}", s.name);
-        assert_eq!(s.vm, p.vm, "{vm}: id");
-        assert_eq!(s.name, p.name, "{vm}: name");
-        assert_eq!(s.vcpu_cpu_ns, p.vcpu_cpu_ns, "{vm}: per-vCPU cpu_ns");
-        assert_eq!(
-            s.vcpu_pool_migrations, p.vcpu_pool_migrations,
-            "{vm}: pool migrations"
-        );
-        assert_metrics_bitwise(&s.metrics, &p.metrics, &vm);
-    }
-}
-
-/// The per-metric arm of [`assert_reports_bitwise`]: f64 fields
-/// compared by `to_bits`, so even sign-of-zero or NaN-payload drift
-/// fails loudly.
-pub fn assert_metrics_bitwise(s: &WorkloadMetrics, p: &WorkloadMetrics, vm: &str) {
-    let bits = |a: f64, b: f64, what: &str| {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{vm}: {what} must be bit-identical (serial {a} vs parallel {b})"
-        );
-    };
-    match (s, p) {
-        (
-            WorkloadMetrics::Io {
-                latency: sl,
-                completed: sc,
-                offered: sof,
-            },
-            WorkloadMetrics::Io {
-                latency: pl,
-                completed: pc,
-                offered: pof,
-            },
-        ) => {
-            assert_eq!(sc, pc, "{vm}: completed requests");
-            assert_eq!(sof, pof, "{vm}: offered requests");
-            assert_eq!(sl.count, pl.count, "{vm}: latency sample count");
-            bits(sl.mean_ns, pl.mean_ns, "mean latency");
-            bits(sl.p95_ns, pl.p95_ns, "p95 latency");
-            bits(sl.p99_ns, pl.p99_ns, "p99 latency");
-            bits(sl.max_ns, pl.max_ns, "max latency");
-        }
-        (
-            WorkloadMetrics::Spin {
-                work_items: sw,
-                lock_hold_mean_ns: sh,
-                lock_hold_max_ns: shm,
-                lock_wait_mean_ns: swm,
-                spin_ns: ss,
-            },
-            WorkloadMetrics::Spin {
-                work_items: pw,
-                lock_hold_mean_ns: ph,
-                lock_hold_max_ns: phm,
-                lock_wait_mean_ns: pwm,
-                spin_ns: ps,
-            },
-        ) => {
-            assert_eq!(sw, pw, "{vm}: work items");
-            assert_eq!(ss, ps, "{vm}: spin time");
-            bits(*sh, *ph, "lock hold mean");
-            bits(*shm, *phm, "lock hold max");
-            bits(*swm, *pwm, "lock wait mean");
-        }
-        (WorkloadMetrics::Mem { instructions: si }, WorkloadMetrics::Mem { instructions: pi }) => {
-            bits(*si, *pi, "instructions");
-        }
-        (WorkloadMetrics::None, WorkloadMetrics::None) => {}
-        (s, p) => panic!("{vm}: metric variants diverged: {s:?} vs {p:?}"),
     }
 }
 

@@ -1,8 +1,7 @@
 //! Fault-isolation properties of the experiment executor: every
 //! injected degradation path is contained to its own cell, classified
 //! correctly, and leaves every sibling cell's report bitwise identical
-//! to a fault-free run — across worker-thread counts and span-worker
-//! lane counts.
+//! to a fault-free run — across worker-thread counts.
 //!
 //! The fault vocabulary under test (`fault=` scenario attribute, see
 //! `aql_workloads::fault`):
@@ -25,7 +24,7 @@ use std::sync::OnceLock;
 
 use aql_sched::experiments::{execute, ExecOpts, FailureKind, PlanCell};
 use aql_sched::hv::{RunReport, TimeMode};
-use aql_sched::scenarios::{build_sim_seeded_full, parse_policy, ScenarioSpec};
+use aql_sched::scenarios::{build_sim_seeded_tuned, parse_policy, ScenarioSpec};
 use common::{assert_reports_conform, REL_TOL};
 use proptest::prelude::*;
 
@@ -43,27 +42,18 @@ fn scenario(name: &str, fault: Option<&str>) -> ScenarioSpec {
     .unwrap()
 }
 
-/// A solo walker on one core — the shape the engine reliably
-/// span-coalesces (see `tests/coalesce_conformance.rs`), so the
+/// Solo walkers, at most one per core — the shape the engine reliably
+/// span-coalesces (see `tests/coalesce_conformance.rs`), so a
 /// coalesce-break fault is guaranteed a chunk contract to violate.
-fn walker_scenario(name: &str, fault: Option<&str>) -> ScenarioSpec {
-    let fault_attr = fault.map(|f| format!(" fault={f}")).unwrap_or_default();
+fn walker_scenario(name: &str, cores: usize, vms: &str) -> ScenarioSpec {
     ScenarioSpec::parse(&format!(
         "scenario = {name}\n\
-         machine = sockets=1 cores=1 cache=i7-3770\n\
+         machine = sockets=1 cores={cores} cache=i7-3770\n\
          warmup_ms = 100\n\
          measure_ms = 250\n\
-         vm mark workload=walk/llcf{fault_attr}\n",
+         {vms}",
     ))
     .unwrap()
-}
-
-fn opts(threads: usize, span_workers: usize) -> ExecOpts {
-    ExecOpts {
-        threads,
-        span_workers,
-        ..ExecOpts::default()
-    }
 }
 
 /// The three-cell matrix every isolation case perturbs.
@@ -162,39 +152,41 @@ fn horizon_lie_stays_within_tolerance_when_coalescing() {
     );
 }
 
+/// Runs `spec` under `fixed/10ms` in `mode`; returns the report and
+/// how many coalesced chunks broke their contract.
+fn run_fixed(spec: &ScenarioSpec, mode: TimeMode) -> (RunReport, u64) {
+    let policy = parse_policy("fixed/10ms").unwrap();
+    let mut sim = build_sim_seeded_tuned(spec, policy.build(spec), spec.seed, mode, true);
+    let report = sim.run_measured(spec.warmup_ns, spec.measure_ns);
+    (report, sim.coalesce_break_count())
+}
+
 #[test]
 fn coalesce_break_recovers_densely_within_tolerance() {
-    let spec = walker_scenario("fi-cb", Some("coalesce-break"));
-    let policy = parse_policy("fixed/10ms").unwrap();
-    let mut adaptive = build_sim_seeded_full(
-        &spec,
-        policy.build(&spec),
-        spec.seed,
-        TimeMode::Adaptive,
-        true,
-        1,
-    );
-    let adaptive_report = adaptive.run_measured(spec.warmup_ns, spec.measure_ns);
-    assert!(
-        adaptive.coalesce_break_count() > 0,
-        "the fault must actually break a chunk contract"
-    );
-    let policy = parse_policy("fixed/10ms").unwrap();
-    let mut dense = build_sim_seeded_full(
-        &spec,
-        policy.build(&spec),
-        spec.seed,
-        TimeMode::Dense,
-        true,
-        1,
-    );
-    let dense_report = dense.run_measured(spec.warmup_ns, spec.measure_ns);
-    assert_reports_conform(
-        &dense_report,
-        &adaptive_report,
-        REL_TOL,
-        "coalesce-break recovery vs dense oracle",
-    );
+    // On two cores the breaker runs on pCPU 0, so the recovery must
+    // also finish the window densely on pCPU 1, after the breaking slot.
+    for (cores, vms) in [
+        (1, "vm mark workload=walk/llcf fault=coalesce-break\n"),
+        (
+            2,
+            "vm mark workload=walk/llcf fault=coalesce-break pin=0\n\
+             vm peer workload=walk/llcf pin=1\n",
+        ),
+    ] {
+        let spec = walker_scenario(&format!("fi-cb{cores}"), cores, vms);
+        let (adaptive, breaks) = run_fixed(&spec, TimeMode::Adaptive);
+        assert!(
+            breaks > 0,
+            "{cores} core(s): the fault must actually break a chunk contract"
+        );
+        let (dense, _) = run_fixed(&spec, TimeMode::Dense);
+        assert_reports_conform(
+            &dense,
+            &adaptive,
+            REL_TOL,
+            &format!("{cores} core(s): coalesce-break recovery vs dense oracle"),
+        );
+    }
 }
 
 proptest! {
@@ -202,8 +194,8 @@ proptest! {
 
     /// One fault-injected cell in a three-cell matrix fails with its
     /// classified kind while both siblings stay bitwise identical to
-    /// the fault-free matrix — for every fault kind, worker-thread
-    /// count and span-worker lane count.
+    /// the fault-free matrix — for every fault kind and worker-thread
+    /// count.
     #[test]
     fn faulty_cell_is_contained_and_siblings_are_bitwise_identical(
         fault in prop_oneof![
@@ -214,7 +206,6 @@ proptest! {
         ],
         position in 0usize..3,
         threads in prop_oneof![Just(1usize), Just(4usize)],
-        span_workers in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let (token, expected) = fault;
         let mut cells = clean_cells();
@@ -224,7 +215,8 @@ proptest! {
             scenario(&name, Some(token)),
             &policy,
         );
-        let out = execute(&cells, &opts(threads, span_workers)).unwrap();
+        let opts = ExecOpts { threads, ..ExecOpts::default() };
+        let out = execute(&cells, &opts).unwrap();
         let failure = out[position]
             .failure
             .as_ref()
@@ -240,9 +232,8 @@ proptest! {
             prop_assert_eq!(
                 &result.report,
                 &baseline()[i],
-                "sibling {} drifted under fault '{}' at position {} \
-                 (threads {}, span_workers {})",
-                i, token, position, threads, span_workers
+                "sibling {} drifted under fault '{}' at position {} (threads {})",
+                i, token, position, threads
             );
         }
     }

@@ -3,7 +3,7 @@
 //! the sweep aggregate must be independent of thread count.
 
 use aql_sched::baselines::xen_credit;
-use aql_sched::experiments::{run_sweep, SweepConfig};
+use aql_sched::experiments::{run_sweep, ExecOpts, SweepConfig};
 use aql_sched::hv::{MachineSpec, SimulationBuilder, VmSpec};
 use aql_sched::mem::CacheSpec;
 use aql_sched::scenarios::{build_sim, catalog};
@@ -92,9 +92,11 @@ fn sweep_aggregate_is_thread_count_independent_on_catalog_entries() {
     let cfg = |threads: usize| SweepConfig {
         policies: vec!["xen-credit".into(), "aql-sched".into()],
         seeds: 1,
-        threads,
         quick: true,
-        ..SweepConfig::default()
+        exec: ExecOpts {
+            threads,
+            ..ExecOpts::default()
+        },
     };
     let serial = run_sweep(&names, &cfg(1)).expect("serial sweep");
     let parallel = run_sweep(&names, &cfg(4)).expect("parallel sweep");
