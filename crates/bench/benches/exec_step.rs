@@ -16,6 +16,10 @@
 //! LLC), `lolcf` the L2-warmth fixpoint; `llco` never reaches a
 //! fixpoint and pins the non-coalescible baseline (all three paths
 //! must then cost the same — the cache may not slow the miss path).
+//!
+//! `shared/…` times one 100 µs `exec_step_lean` chunk on a warm, full
+//! LLC, owners taking turns: one socket of 16 (4 LLCO, 12 LLCF/LoLCF),
+//! and a multi-socket machine's socket (48-slot index, 12 owners).
 
 use aql_mem::{
     exec_step, exec_step_cached, exec_step_lean, CacheSpec, LlcState, MemProfile, RateCache,
@@ -92,5 +96,47 @@ fn bench_exec_step(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_exec_step);
+fn bench_shared_llc(c: &mut Criterion) {
+    let spec = CacheSpec::i7_3770();
+    let mut group = c.benchmark_group("exec_step");
+    group.sample_size(20);
+    // (case, owner index stride, owners, of which LLCO)
+    for (name, stride, count, llco) in [("16-owners", 1, 16, 4), ("48-index-12-active", 4, 12, 3)] {
+        let mut llc = LlcState::new(spec.llc_bytes as f64, stride * count);
+        let mut slots: Vec<_> = (0..count)
+            .map(|k| match k {
+                k if k < llco => MemProfile::llco(&spec),
+                k if k % 2 == 0 => MemProfile::llcf(&spec),
+                _ => MemProfile::lolcf(&spec),
+            })
+            .map(|profile| (profile, 0.0))
+            .collect();
+        // Owner `k % count`'s next 100 µs chunk.
+        let mut chunk = move |k: usize| {
+            let (profile, warmth) = &mut slots[k % count];
+            exec_step_lean(
+                profile,
+                &spec,
+                &mut llc,
+                k % count * stride,
+                warmth,
+                GRID_NS,
+            )
+            .instructions
+        };
+        for k in 0..200 * count {
+            chunk(k); // warm and fill
+        }
+        let mut next = 0;
+        group.bench_function(format!("shared/{name}"), move |b| {
+            b.iter(|| {
+                next += 1;
+                black_box(chunk(next))
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_exec_step, bench_shared_llc);
 criterion_main!(benches);

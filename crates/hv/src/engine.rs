@@ -131,7 +131,8 @@ struct Scratch {
     /// invisible in the results.
     failed_plan_gen: Option<u64>,
     /// Per-pool "any stealable queued work" flags for the adaptive
-    /// generic sub-step (see `Simulation::advance_all_adaptive`).
+    /// planner and generic sub-step (see
+    /// `Simulation::refresh_pool_stealable`).
     pool_stealable: Vec<bool>,
     /// `sched_gen` the flags were computed at; they stay exact until
     /// the generation moves (every enqueue/dispatch bumps it).

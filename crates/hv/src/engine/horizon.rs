@@ -24,8 +24,11 @@
 //! only wake/parking/accounting triggers; a dispatch needs an expired
 //! slice, a kick, or a workload that blocked or yielded; and the
 //! workload [`Horizon`] contract promises no block/yield before its
-//! instant. Idle pCPUs cannot acquire work inside the span — nothing
-//! enqueues — so skipping them is exact.
+//! instant. Nothing enqueues inside the span, but work queued before it
+//! (a vCPU a later pCPU preempted in `resched_all`) lets an idle pCPU
+//! steal at dense's next grid point, so a span is planned only when no
+//! idle pCPU has local or stealable pool work: dense's dispatch attempt
+//! then fails without a state change, and skipping idle pCPUs is exact.
 //!
 //! # The conformance contract against the dense oracle
 //!
@@ -175,8 +178,9 @@ impl Simulation {
     /// Bails to `self.now` ("not worth it") as soon as the bound drops
     /// below [`MIN_FAST_STEPS`] sub-steps, so short-quantum regimes
     /// (microsliced slices, dense vSlicer kick deadlines) pay a scan of
-    /// at most a few pCPUs per sub-step, not a full machine scan.
-    fn quiescent_until(&self, t_next: SimTime) -> SimTime {
+    /// at most a few pCPUs per sub-step, not a full machine scan. Also
+    /// bails on an idle pCPU that can dispatch (dense's next grid point).
+    fn quiescent_until(&mut self, t_next: SimTime) -> SimTime {
         let floor = self.now + MIN_FAST_STEPS * self.substep_ns;
         if t_next < floor {
             return self.now;
@@ -184,6 +188,9 @@ impl Simulation {
         let mut span_end = t_next;
         for pi in 0..self.hv.pcpus.len() {
             let Some(rv) = self.hv.pcpus[pi].running else {
+                if self.idle_can_dispatch(pi) {
+                    return self.now;
+                }
                 continue;
             };
             let v = &self.hv.vcpus[rv.index()];
@@ -353,54 +360,57 @@ impl Simulation {
 
     /// The adaptive twin of [`Simulation::advance_all`]: advances every
     /// pCPU whose sub-step can matter and skips idle pCPUs whose
-    /// dispatch attempt provably fails — an empty local queue and no
-    /// stealable work anywhere in their pool. The skip is exact: a
-    /// failed `try_dispatch` performs no state change, and the
-    /// precomputed pool flags are trusted only while `sched_gen` stands
-    /// still (any block/yield/preempt/dispatch inside this sub-step
-    /// bumps it, and the remaining pCPUs then take the full path).
-    /// The dense loop keeps the exhaustive scan — it is the oracle.
+    /// dispatch attempt provably fails ([`Simulation::idle_can_dispatch`]).
+    /// The skip is exact: a failed `try_dispatch` performs no state
+    /// change, and the pool flags are trusted only while `sched_gen`
+    /// stands still (any block/yield/preempt/dispatch inside this
+    /// sub-step bumps it, and the remaining pCPUs then take the full
+    /// path). The dense loop, the oracle, keeps the exhaustive scan.
     fn advance_all_adaptive(&mut self, dt: u64) {
         let gen0 = self.sched_gen;
-        let mut flags = std::mem::take(&mut self.scratch.pool_stealable);
-        // The flags are a pure function of queue contents, which only
-        // change when `sched_gen` moves — consecutive quiet sub-steps
-        // reuse them.
-        if self.scratch.pool_stealable_gen != Some(gen0) {
-            flags.clear();
-            flags.resize(self.hv.pools.len(), false);
-            let crate::engine::Hypervisor {
-                vcpus,
-                pcpus,
-                pinned_vcpus,
-                ..
-            } = &self.hv;
-            let has_pins = *pinned_vcpus > 0;
-            for p in pcpus {
-                let n = if has_pins {
-                    p.queue
-                        .stealable_len_where(|v| vcpus[v.index()].pinned.is_none())
-                } else {
-                    p.queue.stealable_len()
-                };
-                if n > 0 {
-                    flags[p.pool.index()] = true;
-                }
-            }
-            self.scratch.pool_stealable_gen = Some(gen0);
-        }
         for pi in 0..self.hv.pcpus.len() {
-            let p = &self.hv.pcpus[pi];
             if self.sched_gen == gen0
-                && p.running.is_none()
-                && p.queue.is_empty()
-                && !flags[p.pool.index()]
+                && self.hv.pcpus[pi].running.is_none()
+                && !self.idle_can_dispatch(pi)
             {
                 continue;
             }
             self.advance_pcpu_from(pi, 0, dt, 0);
         }
-        self.scratch.pool_stealable = flags;
+    }
+
+    /// Whether the dispatch attempt of idle pCPU `pi` would succeed: its
+    /// own queue holds work, or its pool holds stealable work.
+    fn idle_can_dispatch(&mut self, pi: usize) -> bool {
+        if !self.hv.pcpus[pi].queue.is_empty() {
+            return true;
+        }
+        self.refresh_pool_stealable();
+        self.scratch.pool_stealable[self.hv.pcpus[pi].pool.index()]
+    }
+
+    /// Recomputes the per-pool "any stealable queued work" flags unless
+    /// `sched_gen` stood still since the last refresh: they are a pure
+    /// function of queue contents, which only change when the
+    /// generation moves, so consecutive quiet sub-steps reuse them.
+    fn refresh_pool_stealable(&mut self) {
+        if self.scratch.pool_stealable_gen == Some(self.sched_gen) {
+            return;
+        }
+        let hv = &self.hv;
+        let flags = &mut self.scratch.pool_stealable;
+        flags.clear();
+        flags.resize(hv.pools.len(), false);
+        for p in &hv.pcpus {
+            let n = if hv.pinned_vcpus > 0 {
+                p.queue
+                    .stealable_len_where(|v| hv.vcpus[v.index()].pinned.is_none())
+            } else {
+                p.queue.stealable_len()
+            };
+            flags[p.pool.index()] |= n > 0;
+        }
+        self.scratch.pool_stealable_gen = Some(self.sched_gen);
     }
 
     /// How many of the span's `steps` grid steps may be coalesced into

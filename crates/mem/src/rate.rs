@@ -27,10 +27,10 @@
 //! [`RateCache`] memoizes the answer per owner. Because the rate is a
 //! *pure function* of the profile, the owner's own occupancy and its
 //! L2 warmth, the entry is keyed on those exact input bits — a finer
-//! (and cheaper) validity condition than the LLC-wide mutation epoch
-//! ([`LlcState::epoch`]): an unrelated owner's insertion that leaves
-//! this owner's occupancy bits intact keeps the entry valid, while
-//! anything that moves the rate necessarily moves a key bit.
+//! validity condition than "no insertion into this LLC since": an
+//! unrelated owner's insertion that leaves this owner's occupancy bits
+//! intact keeps the entry valid, while anything that moves the rate
+//! necessarily moves a key bit.
 //! Scheduling events therefore invalidate entries for free: contention
 //! erodes the occupancy bits, a migration (or a same-pCPU context
 //! switch) resets the warmth bits, and a phase shift changes the

@@ -15,7 +15,8 @@ use aql_sched::hv::workload::{
 };
 use aql_sched::hv::{MachineSpec, SimulationBuilder, TimeMode, VmSpec};
 use aql_sched::mem::CacheSpec;
-use aql_sched::scenarios::{catalog, policy_applicable, policy_for, run_seeded_in};
+use aql_sched::scenarios::{catalog, policy_applicable, policy_for, run_seeded_in, ScenarioSpec};
+use aql_sched::sim::rng::derive_seed;
 use aql_sched::sim::time::{SimTime, MS, SEC, US};
 use proptest::prelude::*;
 
@@ -24,7 +25,7 @@ use proptest::prelude::*;
 /// exclusive IO, idle VMs, phased shape-shifters) crossed with
 /// policies covering every span-limiting mechanism (long Xen quanta,
 /// microsliced sub-step-scale quanta, vSlicer kick deadlines, and
-/// AQL's per-class pools).
+/// AQL's per-class pools), plus [`STEAL_CASE`].
 const CONFORMANCE_SCENARIOS: [&str; 5] = [
     "quickstart",
     "vtrs-live",
@@ -34,27 +35,48 @@ const CONFORMANCE_SCENARIOS: [&str; 5] = [
 ];
 const CONFORMANCE_POLICIES: [&str; 4] = ["xen-credit", "microsliced", "vslicer", "aql-sched"];
 
-#[test]
-fn adaptive_reports_conform_to_dense_on_the_catalog() {
+/// A two-socket machine under vTurbo: a BOOST wake makes `resched_all`
+/// preempt a runner on a later pCPU and requeue it as stealable work
+/// next to an idle pCPU whose dispatch turn has already passed. Dense
+/// steals it at the next grid point, so the adaptive planner must not
+/// skip that pCPU. Sweep replicates 0, 1 and 3 of `spinfarm` hit this.
+const STEAL_CASE: (&str, &str, [u64; 3]) = ("spinfarm", "vturbo", [0, 1, 3]);
+
+/// The conformance cells: every applicable catalog × policy pair at
+/// the spec's own seed, then the steal case at its replicate seeds.
+fn conformance_cells() -> Vec<(ScenarioSpec, &'static str, u64)> {
+    let mut cells = Vec::new();
     for name in CONFORMANCE_SCENARIOS {
         let spec = catalog::load(name).expect("catalog entry").quick();
         for policy in CONFORMANCE_POLICIES {
-            if !policy_applicable(&spec, policy) {
-                continue;
+            if policy_applicable(&spec, policy) {
+                cells.push((spec.clone(), policy, spec.seed));
             }
-            let run = |mode: TimeMode| {
-                let p = policy_for(&spec, policy).expect("known policy");
-                run_seeded_in(&spec, p, spec.seed, mode)
-            };
-            let dense = run(TimeMode::Dense);
-            let adaptive = run(TimeMode::Adaptive);
-            common::assert_reports_conform(
-                &dense,
-                &adaptive,
-                common::REL_TOL,
-                &format!("{name}/{policy}"),
-            );
         }
+    }
+    let (name, policy, replicates) = STEAL_CASE;
+    let spec = catalog::load(name).expect("catalog entry").quick();
+    for k in replicates {
+        cells.push((spec.clone(), policy, derive_seed(name, k)));
+    }
+    cells
+}
+
+#[test]
+fn adaptive_reports_conform_to_dense_on_the_catalog() {
+    for (spec, policy, seed) in conformance_cells() {
+        let run = |mode: TimeMode| {
+            let p = policy_for(&spec, policy).expect("known policy");
+            run_seeded_in(&spec, p, seed, mode)
+        };
+        let dense = run(TimeMode::Dense);
+        let adaptive = run(TimeMode::Adaptive);
+        common::assert_reports_conform(
+            &dense,
+            &adaptive,
+            common::REL_TOL,
+            &format!("{}/{policy}/seed {seed}", spec.name),
+        );
     }
 }
 
@@ -64,23 +86,18 @@ fn uncoalesced_adaptive_is_byte_identical_to_dense_on_the_catalog() {
     // grid exactly; the byte-level oracle of PR 3 still holds and
     // pins the grid path against regressions.
     use aql_sched::scenarios::run_seeded_tuned;
-    for name in CONFORMANCE_SCENARIOS {
-        let spec = catalog::load(name).expect("catalog entry").quick();
-        for policy in CONFORMANCE_POLICIES {
-            if !policy_applicable(&spec, policy) {
-                continue;
-            }
-            let run = |mode: TimeMode| {
-                let p = policy_for(&spec, policy).expect("known policy");
-                run_seeded_tuned(&spec, p, spec.seed, mode, false)
-            };
-            let dense = format!("{:?}", run(TimeMode::Dense));
-            let adaptive = format!("{:?}", run(TimeMode::Adaptive));
-            assert_eq!(
-                dense, adaptive,
-                "grid-path time modes diverged on {name} under {policy}"
-            );
-        }
+    for (spec, policy, seed) in conformance_cells() {
+        let run = |mode: TimeMode| {
+            let p = policy_for(&spec, policy).expect("known policy");
+            run_seeded_tuned(&spec, p, seed, mode, false)
+        };
+        let dense = format!("{:?}", run(TimeMode::Dense));
+        let adaptive = format!("{:?}", run(TimeMode::Adaptive));
+        assert_eq!(
+            dense, adaptive,
+            "grid-path time modes diverged on {} under {policy} at seed {seed}",
+            spec.name
+        );
     }
 }
 
