@@ -176,4 +176,18 @@ diff /tmp/ci_fresh.txt /tmp/ci_resumed.txt
 rm -f /tmp/ci_fault_ok.scn /tmp/ci_resume_b.scn /tmp/ci_resume.jsonl \
       /tmp/ci_resumed.txt /tmp/ci_fresh.txt
 
+step "BENCH_sweep.json: the records written above load with an independent JSON parser"
+# The repro and fault smokes rewrite BENCH_sweep.json through the
+# harness's own JSON writer; python's json module must still read it
+# and find every record those smokes add, each with a numeric wall_ms.
+python3 - <<'EOF'
+import json, sys
+d = json.load(open("BENCH_sweep.json"))
+for key in ("repro_quick_threads1", "repro_quick_threads4", "sweep_quick_files2"):
+    wall = d.get(key, {}).get("wall_ms")
+    if isinstance(wall, bool) or not isinstance(wall, (int, float)):
+        sys.exit(f"BENCH_sweep.json: {key}.wall_ms missing or not a number")
+    print(f"  {key}: wall_ms {wall}")
+EOF
+
 step "all checks passed"

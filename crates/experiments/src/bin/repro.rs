@@ -46,40 +46,48 @@
 //! ```
 //!
 //! Each table is printed to stdout and saved as CSV under `results/`.
+//! The whole command line is checked before the first artifact runs:
+//! an unknown flag or command exits 1 with nothing printed or saved.
 
 use std::process::ExitCode;
 
 use aql_experiments::emit::{save_and_print, update_bench_json};
+use aql_experiments::json::Json;
+use aql_experiments::plan::flag_value;
 use aql_experiments::{ablations, fig2, fig4, fig5, fig6, fig7, fig8, tables, ExecOpts, Table};
 use aql_scenarios::TimeMode;
 
-fn run(cmd: &str, quick: bool, opts: &ExecOpts) -> Result<Vec<Table>, String> {
-    Ok(match cmd {
-        "fig2" => fig2::run_all(quick, opts),
-        "fig2a" => vec![fig2::run_panel(fig2::Panel::ExclusiveIo, quick, opts)],
-        "fig2b" => vec![fig2::run_panel(fig2::Panel::HeterogeneousIo, quick, opts)],
-        "fig2c" => vec![fig2::run_panel(fig2::Panel::ConSpin, quick, opts)],
-        "fig2d" => vec![fig2::run_panel(fig2::Panel::Llcf, quick, opts)],
-        "fig2e" => vec![fig2::run_panel(fig2::Panel::Lolcf, quick, opts)],
-        "fig2f" => vec![fig2::run_panel(fig2::Panel::Llco, quick, opts)],
-        "fig2lock" => vec![fig2::run_lock_inset(quick, opts)],
-        "fig4" => fig4::run(quick, opts),
-        "fig5" => vec![fig5::run(&[], quick, opts)],
-        "fig6left" => vec![fig6::run_left(quick, opts)],
-        "fig6right" => {
+/// Regenerates one artifact from the `--quick` flag and the execution
+/// options.
+type Artifact = fn(bool, &ExecOpts) -> Vec<Table>;
+
+fn artifact(cmd: &str) -> Option<Artifact> {
+    Some(match cmd {
+        "fig2" => |quick, opts| fig2::run_all(quick, opts),
+        "fig2a" => |quick, opts| vec![fig2::run_panel(fig2::Panel::ExclusiveIo, quick, opts)],
+        "fig2b" => |quick, opts| vec![fig2::run_panel(fig2::Panel::HeterogeneousIo, quick, opts)],
+        "fig2c" => |quick, opts| vec![fig2::run_panel(fig2::Panel::ConSpin, quick, opts)],
+        "fig2d" => |quick, opts| vec![fig2::run_panel(fig2::Panel::Llcf, quick, opts)],
+        "fig2e" => |quick, opts| vec![fig2::run_panel(fig2::Panel::Lolcf, quick, opts)],
+        "fig2f" => |quick, opts| vec![fig2::run_panel(fig2::Panel::Llco, quick, opts)],
+        "fig2lock" => |quick, opts| vec![fig2::run_lock_inset(quick, opts)],
+        "fig4" => |quick, opts| fig4::run(quick, opts),
+        "fig5" => |quick, opts| vec![fig5::run(&[], quick, opts)],
+        "fig6left" => |quick, opts| vec![fig6::run_left(quick, opts)],
+        "fig6right" => |quick, opts| {
             let (norm, clusters) = fig6::run_right(quick, opts);
             vec![norm, clusters]
-        }
-        "fig7" => vec![fig7::run(quick, opts)],
-        "fig8" => vec![fig8::run(quick, opts)],
-        "table3" => vec![tables::table3(quick, opts)],
-        "table5" => vec![tables::table5(quick, opts)],
-        "table6" => vec![tables::table6()],
-        "overhead" => vec![tables::overhead()],
-        "fairness" => vec![tables::fairness(quick, opts)],
-        "ablations" => ablations::run_all(quick, opts),
-        "scalability" => vec![ablations::scalability()],
-        other => return Err(format!("unknown command '{other}'")),
+        },
+        "fig7" => |quick, opts| vec![fig7::run(quick, opts)],
+        "fig8" => |quick, opts| vec![fig8::run(quick, opts)],
+        "table3" => |quick, opts| vec![tables::table3(quick, opts)],
+        "table5" => |quick, opts| vec![tables::table5(quick, opts)],
+        "table6" => |_, _| vec![tables::table6()],
+        "overhead" => |_, _| vec![tables::overhead()],
+        "fairness" => |quick, opts| vec![tables::fairness(quick, opts)],
+        "ablations" => |quick, opts| ablations::run_all(quick, opts),
+        "scalability" => |_, _| vec![ablations::scalability()],
+        _ => return None,
     })
 }
 
@@ -111,127 +119,83 @@ fn usage() {
     eprintln!("          fig2a..fig2f fig2lock (individual panels)");
 }
 
-fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+/// The parsed command line.
+struct Cli<'a> {
+    quick: bool,
+    opts: ExecOpts,
+    bench_json: Option<&'a str>,
+    /// The artifacts to run, in order.
+    cmds: Vec<(&'a str, Artifact)>,
+}
+
+/// Reads the whole command line — flags, command names and `all` —
+/// before anything runs, so a bad argument cannot follow a finished
+/// artifact. `all` stands for every command in [`ALL`], replacing the
+/// other names.
+fn parse_args(args: &[String]) -> Result<Cli<'_>, String> {
     let mut quick = false;
     let mut opts = ExecOpts::default();
-    let mut bench_json: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |args: &mut Vec<String>, i: usize, flag: &str| -> Option<String> {
-            if i + 1 < args.len() {
-                args.remove(i); // the flag
-                Some(args.remove(i)) // its value
-            } else {
-                eprintln!("error: {flag} needs a value");
-                None
-            }
-        };
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                args.remove(i);
-            }
-            "--threads" => {
-                let Some(v) = take_value(&mut args, i, "--threads") else {
-                    return ExitCode::FAILURE;
-                };
-                match v.parse() {
-                    Ok(n) => opts.threads = n,
-                    Err(_) => {
-                        eprintln!("error: --threads needs a number");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--time-mode" => {
-                let Some(v) = take_value(&mut args, i, "--time-mode") else {
-                    return ExitCode::FAILURE;
-                };
-                match v.as_str() {
-                    "adaptive" => opts.time_mode = TimeMode::Adaptive,
-                    "dense" => opts.time_mode = TimeMode::Dense,
-                    other => {
-                        eprintln!("error: --time-mode must be adaptive or dense, got '{other}'");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--bench-json" => {
-                let Some(v) = take_value(&mut args, i, "--bench-json") else {
-                    return ExitCode::FAILURE;
-                };
-                bench_json = Some(v);
-            }
-            "--max-cell-wall" => {
-                let Some(v) = take_value(&mut args, i, "--max-cell-wall") else {
-                    return ExitCode::FAILURE;
-                };
-                match aql_sim::time::parse_dur(&v) {
-                    Some(ns) => opts.max_cell_wall = Some(std::time::Duration::from_nanos(ns)),
-                    None => {
-                        eprintln!("error: --max-cell-wall: bad duration '{v}'");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--retries" => {
-                let Some(v) = take_value(&mut args, i, "--retries") else {
-                    return ExitCode::FAILURE;
-                };
-                match v.parse() {
-                    Ok(n) => opts.retries = n,
-                    Err(_) => {
-                        eprintln!("error: --retries needs a number");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--journal" => {
-                let Some(v) = take_value(&mut args, i, "--journal") else {
-                    return ExitCode::FAILURE;
-                };
-                opts.journal = Some(v.into());
-            }
-            "--resume" => {
-                opts.resume = true;
-                args.remove(i);
-            }
-            _ => i += 1,
+    let mut bench_json = None;
+    let mut all = false;
+    let mut cmds = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--bench-json" => bench_json = Some(flag_value(&mut args, arg)?),
+            "all" => all = true,
+            flag if opts.parse_flag(flag, &mut args)? => {}
+            flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
+            cmd => cmds.push((
+                cmd,
+                artifact(cmd).ok_or_else(|| format!("unknown command '{cmd}'"))?,
+            )),
         }
     }
-    if opts.resume && opts.journal.is_none() {
-        eprintln!("error: --resume requires --journal");
+    opts.check_flags()?;
+    if all {
+        cmds = ALL
+            .iter()
+            .map(|&cmd| (cmd, artifact(cmd).expect("ALL lists known commands")))
+            .collect();
+    }
+    Ok(Cli {
+        quick,
+        opts,
+        bench_json,
+        cmds,
+    })
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut cli = match parse_args(&args) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("error: {e}");
+            usage();
+            return ExitCode::FAILURE;
+        }
+    };
+    if cli.cmds.is_empty() {
+        usage();
         return ExitCode::FAILURE;
     }
     // A figure fold needs every applicable cell's report — there is no
     // `FAIL` rendering here like the sweep table has — so a failed
     // cell (blown wall budget, livelock, panic) aborts the artifact
     // with its classification instead of panicking mid-fold.
-    opts.fail_fast = true;
-    if args.is_empty() {
-        usage();
-        return ExitCode::FAILURE;
-    }
-    let cmds: Vec<&str> = if args.iter().any(|a| a == "all") {
-        ALL.to_vec()
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
-    };
+    cli.opts.fail_fast = true;
+    let (quick, opts) = (cli.quick, &cli.opts);
     let t0 = std::time::Instant::now();
-    for c in &cmds {
+    for &(c, run) in &cli.cmds {
         eprintln!(">> {c}{}", if quick { " (quick)" } else { "" });
         // `fail_fast` surfaces a failed cell by re-raising it out of
         // the plan executor; catch it here and report the classified
         // failure (`resume_unwind` payloads bypass the panic hook, so
         // without this the process would die silently).
-        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(c, quick, &opts)));
-        match ran {
-            Ok(Ok(tables)) => save_and_print(&tables),
-            Ok(Err(e)) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+        match std::panic::catch_unwind(|| run(quick, opts)) {
+            Ok(tables) => save_and_print(&tables),
             Err(payload) => {
                 let msg = payload
                     .downcast_ref::<String>()
@@ -243,7 +207,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(path) = bench_json {
+    if let Some(path) = cli.bench_json {
         // One key per (quick, threads, time-mode) shape so the CI
         // smoke can record the 1-thread and N-thread runs side by
         // side, and a dense-oracle run cannot overwrite an adaptive
@@ -262,12 +226,14 @@ fn main() -> ExitCode {
                 ""
             }
         );
-        let value = format!(
-            "{{\"commands\": {}, \"wall_ms\": {:.3}}}",
-            cmds.len(),
-            t0.elapsed().as_secs_f64() * 1e3
-        );
-        if let Err(e) = update_bench_json(std::path::Path::new(&path), &key, &value) {
+        let value = Json::obj([
+            ("commands", Json::uint(cli.cmds.len() as u64)),
+            (
+                "wall_ms",
+                Json::decimal(t0.elapsed().as_secs_f64() * 1e3, 3),
+            ),
+        ]);
+        if let Err(e) = update_bench_json(std::path::Path::new(path), &key, value) {
             eprintln!("warning: could not update {path}: {e}");
         } else {
             eprintln!("(recorded {key} in {path})");

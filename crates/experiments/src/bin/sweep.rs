@@ -56,9 +56,12 @@
 //! scenario names alone. The table is also saved as CSV under
 //! `results/`.
 
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use aql_experiments::emit::{save_and_print, update_bench_json};
+use aql_experiments::json::Json;
+use aql_experiments::plan::{flag_value, number_value};
 use aql_experiments::sweep::{run_sweep, run_sweep_on, SweepConfig, SweepOutcome};
 use aql_scenarios::{catalog, ScenarioSpec, TimeMode};
 
@@ -77,19 +80,24 @@ fn usage() -> String {
     )
 }
 
-/// JSON-escapes a scenario name (the catalog only uses identifier-safe
-/// characters, but hand-written specs may not).
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Milliseconds with three decimals, the unit of every timing field.
+fn ms(ns: u64) -> Json {
+    Json::decimal(ns as f64 / 1e6, 3)
 }
 
-/// Renders the three-way timing comparison (dense oracle, uncoalesced
+/// `num / den` with three decimals (`0.000` when `den` is zero).
+fn ratio(num: u64, den: u64) -> Json {
+    Json::decimal(
+        if den > 0 {
+            num as f64 / den as f64
+        } else {
+            0.0
+        },
+        3,
+    )
+}
+
+/// The three-way timing comparison (dense oracle, uncoalesced
 /// adaptive, coalesced adaptive) as a JSON document. The headline
 /// `speedup` is dense over *coalesced* — the default execution mode —
 /// with `speedup_flat` recording the grid-replaying fast path next to
@@ -100,54 +108,44 @@ fn bench_json(
     dense: &SweepOutcome,
     flat: &SweepOutcome,
     coalesced: &SweepOutcome,
-) -> String {
-    let dense_by_scenario = dense.wall_ns_by_scenario();
-    let flat_by_scenario = flat.wall_ns_by_scenario();
-    let coalesced_by_scenario = coalesced.wall_ns_by_scenario();
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let ratio = |d: u64, a: u64| if a > 0 { d as f64 / a as f64 } else { 0.0 };
-    let mut per_scenario = String::new();
-    for (i, name) in names.iter().enumerate() {
-        let d = dense_by_scenario.get(i).copied().unwrap_or(0);
-        let f = flat_by_scenario.get(i).copied().unwrap_or(0);
-        let c = coalesced_by_scenario.get(i).copied().unwrap_or(0);
-        if i > 0 {
-            per_scenario.push(',');
-        }
-        per_scenario.push_str(&format!(
-            "\n    {{\"scenario\": \"{}\", \"dense_ms\": {:.3}, \"adaptive_ms\": {:.3}, \
-             \"coalesced_ms\": {:.3}, \"speedup\": {:.3}}}",
-            json_escape(name),
-            ms(d),
-            ms(f),
-            ms(c),
-            ratio(d, c)
-        ));
-    }
-    let d = dense.total_wall_ns();
-    let f = flat.total_wall_ns();
-    let c = coalesced.total_wall_ns();
-    format!(
-        "{{\n  \"scenarios\": {},\n  \"policies\": {},\n  \"seeds\": {},\n  \
-         \"quick\": {},\n  \"dense_ms\": {:.3},\n  \"adaptive_ms\": {:.3},\n  \
-         \"coalesced_ms\": {:.3},\n  \"speedup\": {:.3},\n  \"speedup_flat\": {:.3},\n  \
-         \"per_scenario\": [{}\n  ]\n}}\n",
-        names.len(),
-        cfg.policies.len(),
-        cfg.seeds,
-        cfg.quick,
-        ms(d),
-        ms(f),
-        ms(c),
-        ratio(d, c),
-        ratio(d, f),
-        per_scenario
-    )
+) -> Json {
+    let (dense_by, flat_by, coalesced_by) = (
+        dense.wall_ns_by_scenario(),
+        flat.wall_ns_by_scenario(),
+        coalesced.wall_ns_by_scenario(),
+    );
+    let per_scenario = names.iter().enumerate().map(|(i, name)| {
+        let (d, f, c) = (dense_by[i], flat_by[i], coalesced_by[i]);
+        Json::obj([
+            ("scenario", Json::Str(name.clone())),
+            ("dense_ms", ms(d)),
+            ("adaptive_ms", ms(f)),
+            ("coalesced_ms", ms(c)),
+            ("speedup", ratio(d, c)),
+        ])
+    });
+    let (d, f, c) = (
+        dense.total_wall_ns(),
+        flat.total_wall_ns(),
+        coalesced.total_wall_ns(),
+    );
+    Json::obj([
+        ("scenarios", Json::uint(names.len() as u64)),
+        ("policies", Json::uint(cfg.policies.len() as u64)),
+        ("seeds", Json::uint(cfg.seeds as u64)),
+        ("quick", Json::Bool(cfg.quick)),
+        ("dense_ms", ms(d)),
+        ("adaptive_ms", ms(f)),
+        ("coalesced_ms", ms(c)),
+        ("speedup", ratio(d, c)),
+        ("speedup_flat", ratio(d, f)),
+        ("per_scenario", Json::Arr(per_scenario.collect())),
+    ])
 }
 
-/// Parsed command line: scenario names, sweep config, whether a
-/// metadata action already ran, and the mode-comparison request
-/// (`--time-mode both` + optional JSON output path).
+/// Parsed command line: scenario names, sweep config, the output of
+/// any metadata action, and the mode-comparison request (`--time-mode
+/// both` + optional JSON output path).
 struct Cli {
     names: Vec<String>,
     /// `--scenarios` was given explicitly (vs. the full-catalog
@@ -156,7 +154,9 @@ struct Cli {
     /// Scenario documents loaded from `--scenario-file`.
     file_specs: Vec<ScenarioSpec>,
     cfg: SweepConfig,
-    ran_meta: bool,
+    /// What `--list`, `--show` and `--help` print; printed, in place of
+    /// a sweep, only once the whole command line has parsed.
+    meta: Option<String>,
     compare_modes: bool,
     bench_json: Option<String>,
     /// `--oracle-sample N`: cap the mode-comparison matrix at `N`
@@ -186,28 +186,23 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut names: Vec<String> = catalog::names().iter().map(|s| s.to_string()).collect();
     let mut names_explicit = false;
     let mut file_specs: Vec<ScenarioSpec> = Vec::new();
-    let mut it = args.iter();
-    let mut ran_meta = false;
+    let mut meta: Option<String> = None;
     let mut compare_modes = false;
     let mut bench_json = None;
     let mut oracle_sample = 0usize;
     let mut oracle_seed = 0u64;
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scenarios" => {
-                names = value("--scenarios")?
+                names = flag_value(&mut args, arg)?
                     .split(',')
                     .map(str::to_string)
                     .collect();
                 names_explicit = true;
             }
             "--scenario-file" => {
-                for path in value("--scenario-file")?.split(',') {
+                for path in flag_value(&mut args, arg)?.split(',') {
                     let text = std::fs::read_to_string(path)
                         .map_err(|e| format!("cannot read scenario file {path}: {e}"))?;
                     file_specs
@@ -215,60 +210,26 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 }
             }
             "--policies" => {
-                cfg.policies = value("--policies")?
+                cfg.policies = flag_value(&mut args, arg)?
                     .split(',')
                     .map(str::to_string)
                     .collect();
             }
-            "--seeds" => {
-                cfg.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|_| "--seeds needs a number".to_string())?;
-            }
-            "--threads" => {
-                cfg.exec.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads needs a number".to_string())?;
-            }
+            "--seeds" => cfg.seeds = number_value(&mut args, arg)?,
             "--quick" => cfg.quick = true,
-            "--time-mode" => match value("--time-mode")?.as_str() {
-                "adaptive" => cfg.exec.time_mode = TimeMode::Adaptive,
-                "dense" => cfg.exec.time_mode = TimeMode::Dense,
-                "both" => compare_modes = true,
-                other => {
-                    return Err(format!(
-                        "--time-mode must be adaptive, dense or both, got '{other}'"
-                    ))
-                }
-            },
-            "--bench-json" => bench_json = Some(value("--bench-json")?),
-            "--max-cell-wall" => {
-                let v = value("--max-cell-wall")?;
-                let ns = aql_sim::time::parse_dur(&v)
-                    .ok_or_else(|| format!("--max-cell-wall: bad duration '{v}'"))?;
-                cfg.exec.max_cell_wall = Some(std::time::Duration::from_nanos(ns));
+            "--time-mode" if args.as_slice().first().is_some_and(|v| v == "both") => {
+                args.next();
+                compare_modes = true;
             }
-            "--retries" => {
-                cfg.exec.retries = value("--retries")?
-                    .parse()
-                    .map_err(|_| "--retries needs a number".to_string())?;
-            }
-            "--journal" => cfg.exec.journal = Some(value("--journal")?.into()),
-            "--resume" => cfg.exec.resume = true,
+            "--bench-json" => bench_json = Some(flag_value(&mut args, arg)?.to_string()),
             "--fail-fast" => cfg.exec.fail_fast = true,
-            "--oracle-sample" => {
-                oracle_sample = value("--oracle-sample")?
-                    .parse()
-                    .map_err(|_| "--oracle-sample needs a number".to_string())?;
-            }
-            "--oracle-seed" => {
-                oracle_seed = value("--oracle-seed")?
-                    .parse()
-                    .map_err(|_| "--oracle-seed needs a number".to_string())?;
-            }
+            "--oracle-sample" => oracle_sample = number_value(&mut args, arg)?,
+            "--oracle-seed" => oracle_seed = number_value(&mut args, arg)?,
             "--list" => {
+                let out = meta.get_or_insert_with(String::new);
                 for spec in catalog::load_all().map_err(|e| e.to_string())? {
-                    println!(
+                    let _ = writeln!(
+                        out,
                         "{:<16} {:>2} VM lines, {:>2} vCPUs on {:>2} pCPUs ({:.1}:1)",
                         spec.name,
                         spec.vms.len(),
@@ -277,19 +238,17 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                         spec.consolidation(),
                     );
                 }
-                ran_meta = true;
             }
             "--show" => {
-                let name = value("--show")?;
+                let name = flag_value(&mut args, arg)?;
                 let doc =
-                    catalog::document(&name).ok_or_else(|| format!("unknown scenario '{name}'"))?;
-                print!("{doc}");
-                ran_meta = true;
+                    catalog::document(name).ok_or_else(|| format!("unknown scenario '{name}'"))?;
+                meta.get_or_insert_with(String::new).push_str(doc);
             }
             "--help" | "-h" => {
-                println!("{}", usage());
-                ran_meta = true;
+                let _ = writeln!(meta.get_or_insert_with(String::new), "{}", usage());
             }
+            flag if cfg.exec.parse_flag(flag, &mut args)? => {}
             other => return Err(format!("unknown option '{other}'\n{}", usage())),
         }
     }
@@ -301,15 +260,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if compare_modes && !file_specs.is_empty() {
         return Err("--scenario-file cannot combine with --time-mode both".to_string());
     }
-    if cfg.exec.resume && cfg.exec.journal.is_none() {
-        return Err("--resume requires --journal".to_string());
-    }
+    cfg.exec.check_flags()?;
     Ok(Cli {
         names,
         names_explicit,
         file_specs,
         cfg,
-        ran_meta,
+        meta,
         compare_modes,
         bench_json,
         oracle_sample,
@@ -378,7 +335,7 @@ fn run_mode_comparison(cli: &Cli) -> Result<(), String> {
         x(d_ms, c_ms)
     );
     if let Some(path) = &cli.bench_json {
-        let doc = bench_json(&names, &cli.cfg, &dense, &flat, &coalesced);
+        let doc = bench_json(&names, &cli.cfg, &dense, &flat, &coalesced).to_pretty();
         std::fs::write(path, doc).map_err(|e| format!("could not write {path}: {e}"))?;
         println!("(saved {path})");
     }
@@ -394,7 +351,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if cli.ran_meta {
+    if let Some(meta) = &cli.meta {
+        print!("{meta}");
         return ExitCode::SUCCESS;
     }
     if cli.compare_modes {
@@ -464,13 +422,12 @@ fn main() -> ExitCode {
                 } else {
                     cli.file_specs.len()
                 };
-                let value = format!(
-                    "{{\"scenarios\": {}, \"wall_ms\": {:.3}, \"failed_cells\": {}}}",
-                    scenario_count,
-                    outcome.total_wall_ns() as f64 / 1e6,
-                    outcome.failures().len()
-                );
-                if let Err(e) = update_bench_json(std::path::Path::new(path), &key, &value) {
+                let value = Json::obj([
+                    ("scenarios", Json::uint(scenario_count as u64)),
+                    ("wall_ms", ms(outcome.total_wall_ns())),
+                    ("failed_cells", Json::uint(failures.len() as u64)),
+                ]);
+                if let Err(e) = update_bench_json(std::path::Path::new(path), &key, value) {
                     eprintln!("warning: could not update {path}: {e}");
                 } else {
                     println!("(recorded {key} in {path})");

@@ -1,8 +1,11 @@
-//! Result emission: aligned stdout tables and CSV files.
+//! Result emission: aligned stdout tables, CSV files and the
+//! `BENCH_sweep.json` record.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
+
+use crate::json::Json;
 
 /// A simple aligned table with a title, headers and string rows.
 #[derive(Debug, Clone)]
@@ -146,74 +149,26 @@ pub fn save_and_print(tables: &[Table]) {
     }
 }
 
-/// Inserts or replaces one top-level key in a JSON document on disk,
-/// keeping the rest of the file byte-for-byte intact. `value` must be
-/// a serialised JSON value. The file must hold a JSON object (or not
-/// exist yet — it is then created as `{key: value}`). This string-level
-/// editor exists so the `sweep` and `repro` binaries can share
-/// `BENCH_sweep.json` without a JSON parser dependency.
-pub fn update_bench_json(path: &Path, key: &str, value: &str) -> std::io::Result<()> {
-    let doc = match fs::read_to_string(path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::from("{\n}\n"),
+/// Sets the top-level `key` of the JSON object in the file at `path`
+/// to `value`, creating the file when it does not exist (the `sweep`
+/// and `repro` binaries share `BENCH_sweep.json` through this). An
+/// existing entry for `key` is dropped and the new one appended; the
+/// file is rewritten in the [`Json::to_pretty`] layout. A file that
+/// does not parse as a JSON object is an `InvalidData` error and is
+/// left untouched.
+pub fn update_bench_json(path: &Path, key: &str, value: Json) -> io::Result<()> {
+    let mut fields = match fs::read_to_string(path) {
+        Ok(text) => match Json::parse(&text) {
+            Ok(Json::Obj(fields)) => fields,
+            Ok(_) => return Err(io::Error::new(ErrorKind::InvalidData, "not a JSON object")),
+            Err(e) => return Err(io::Error::new(ErrorKind::InvalidData, e)),
+        },
+        Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    let entry = format!("\"{key}\": {value}");
-    let open = doc.find('{').ok_or(std::io::ErrorKind::InvalidData)?;
-    let close = doc.rfind('}').ok_or(std::io::ErrorKind::InvalidData)?;
-    let body = &doc[open + 1..close];
-    // Drop an existing entry for the key (top-level only: entries are
-    // split at top-level commas by brace/bracket/quote depth).
-    let mut parts: Vec<String> = Vec::new();
-    let (mut depth, mut in_str, mut esc) = (0i32, false, false);
-    let mut cur = String::new();
-    for c in body.chars() {
-        if in_str {
-            cur.push(c);
-            if esc {
-                esc = false;
-            } else if c == '\\' {
-                esc = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_str = true;
-                cur.push(c);
-            }
-            '{' | '[' => {
-                depth += 1;
-                cur.push(c);
-            }
-            '}' | ']' => {
-                depth -= 1;
-                cur.push(c);
-            }
-            ',' if depth == 0 => {
-                parts.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        parts.push(cur);
-    }
-    let needle = format!("\"{key}\"");
-    parts.retain(|p| !p.trim_start().starts_with(&needle));
-    parts.push(format!("\n  {entry}"));
-    let rebuilt = format!(
-        "{}{{{}\n}}\n",
-        &doc[..open],
-        parts
-            .iter()
-            .map(|p| p.trim_end().to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    fs::write(path, rebuilt)
+    fields.retain(|(k, _)| k != key);
+    fields.push((key.to_string(), value));
+    fs::write(path, Json::Obj(fields).to_pretty())
 }
 
 #[cfg(test)]
@@ -278,16 +233,25 @@ mod tests {
         assert_eq!(t.to_csv(), "v\n\"two\nlines\"\n");
     }
 
-    #[test]
-    fn bench_json_inserts_and_replaces_keys() {
-        let dir = std::env::temp_dir().join("aql_bench_json_test");
+    fn wall(ms: f64) -> Json {
+        Json::obj([("wall_ms", Json::decimal(ms, 3))])
+    }
+
+    /// A fresh scratch file for one bench-json test.
+    fn bench_file(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("aql_bench_json_{test}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench.json");
+        dir.join("bench.json")
+    }
+
+    #[test]
+    fn bench_json_inserts_and_replaces_keys() {
+        let path = bench_file("upsert");
         // Creates the file when missing.
-        update_bench_json(&path, "alpha", "{\"wall_ms\": 1.5}").unwrap();
+        update_bench_json(&path, "alpha", wall(1.5)).unwrap();
         let doc = std::fs::read_to_string(&path).unwrap();
-        assert!(doc.contains("\"alpha\": {\"wall_ms\": 1.5}"), "{doc}");
+        assert_eq!(doc, "{\n  \"alpha\": {\"wall_ms\": 1.500}\n}\n");
         // Adds a second key next to an existing one with nested
         // arrays/objects left intact.
         std::fs::write(
@@ -295,16 +259,46 @@ mod tests {
             "{\n  \"speedup\": 1.2,\n  \"per_scenario\": [\n    {\"a\": 1}\n  ]\n}\n",
         )
         .unwrap();
-        update_bench_json(&path, "repro", "{\"wall_ms\": 3.25}").unwrap();
+        update_bench_json(&path, "repro", wall(3.25)).unwrap();
         let doc = std::fs::read_to_string(&path).unwrap();
         assert!(doc.contains("\"speedup\": 1.2"), "{doc}");
         assert!(doc.contains("{\"a\": 1}"), "{doc}");
-        assert!(doc.contains("\"repro\": {\"wall_ms\": 3.25}"), "{doc}");
+        assert!(doc.contains("\"repro\": {\"wall_ms\": 3.250}"), "{doc}");
         // Replaces on re-record instead of duplicating.
-        update_bench_json(&path, "repro", "{\"wall_ms\": 4.0}").unwrap();
+        update_bench_json(&path, "repro", wall(4.0)).unwrap();
         let doc = std::fs::read_to_string(&path).unwrap();
         assert_eq!(doc.matches("\"repro\"").count(), 1, "{doc}");
-        assert!(doc.contains("{\"wall_ms\": 4.0}"), "{doc}");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(doc.contains("{\"wall_ms\": 4.000}"), "{doc}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Updating a file holding `text` fails and leaves it as it was.
+    fn assert_left_untouched(test: &str, text: &str) {
+        let path = bench_file(test);
+        std::fs::write(&path, text).unwrap();
+        let err = update_bench_json(&path, "k", wall(1.0)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn bench_json_leaves_unparseable_text_untouched() {
+        assert_left_untouched("reversed", "}{");
+    }
+
+    #[test]
+    fn bench_json_leaves_a_top_level_array_untouched() {
+        assert_left_untouched("array", r#"[{"a": 1}, {"b": 2}]"#);
+    }
+
+    #[test]
+    fn bench_json_escapes_keys() {
+        let path = bench_file("escape");
+        update_bench_json(&path, "we\"ird", wall(1.0)).unwrap();
+        let doc = std::fs::read_to_string(&path).unwrap();
+        assert!(doc.contains(r#""we\"ird": {"#), "{doc}");
+        assert_eq!(Json::parse(&doc).unwrap().get("we\"ird"), Some(&wall(1.0)));
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -18,15 +18,16 @@
 //!
 //! Appends are line-buffered and flushed per cell; a crash mid-write
 //! can only tear the *final* line, which [`load`] tolerates (the torn
-//! cell simply re-runs). There is no serde in this offline
-//! environment, so the module carries its own minimal JSON codec —
-//! objects, arrays, strings and unsigned integers are all the format
-//! needs.
+//! cell simply re-runs). Lines are written and read by the harness's
+//! JSON codec ([`crate::json`]); a line nested deeper than
+//! [`crate::json::MAX_DEPTH`] is corruption like any other parse error.
 
 use std::fs;
 use std::path::Path;
 
 use aql_hv::{LatencySummary, RunReport, VmId, VmReport, WorkloadMetrics};
+
+use crate::json::Json;
 
 /// One journaled cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,303 +76,58 @@ pub fn fingerprint(
 }
 
 // ---------------------------------------------------------------------
-// Minimal JSON value + codec.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    Num(u64),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
-            Json::Str(s) => write_str(s, out),
-            Json::Num(n) => out.push_str(&n.to_string()),
-        }
-    }
-}
-
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn fail<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("journal JSON: {what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.fail(&format!("expected '{}'", b as char))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'0'..=b'9') => self.number(),
-            _ => self.fail("expected a value"),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return self.fail("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.fail("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.fail("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            match hex {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return self.fail("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.fail("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through intact:
-                    // consume the whole char, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits");
-        text.parse::<u64>()
-            .map(Json::Num)
-            .map_err(|_| format!("journal JSON: bad number '{text}'"))
-    }
-}
-
-// ---------------------------------------------------------------------
 // Report <-> JSON mapping. f64 fields travel as IEEE-754 bit patterns.
 // ---------------------------------------------------------------------
 
 fn f64_bits(x: f64) -> Json {
-    Json::Num(x.to_bits())
+    Json::uint(x.to_bits())
+}
+
+fn uints(values: &[u64]) -> Json {
+    Json::Arr(values.iter().map(|&n| Json::uint(n)).collect())
+}
+
+fn malformed(what: &str) -> String {
+    format!("journal: missing or malformed '{what}'")
 }
 
 fn bits_f64(j: Option<&Json>, what: &str) -> Result<f64, String> {
-    j.and_then(Json::num)
-        .map(f64::from_bits)
-        .ok_or_else(|| format!("journal: missing or malformed '{what}'"))
+    need_num(j, what).map(f64::from_bits)
 }
 
 fn need_num(j: Option<&Json>, what: &str) -> Result<u64, String> {
-    j.and_then(Json::num)
-        .ok_or_else(|| format!("journal: missing or malformed '{what}'"))
+    j.and_then(Json::as_u64).ok_or_else(|| malformed(what))
 }
 
 fn need_str(j: Option<&Json>, what: &str) -> Result<String, String> {
-    j.and_then(Json::str)
+    j.and_then(Json::as_str)
         .map(str::to_string)
-        .ok_or_else(|| format!("journal: missing or malformed '{what}'"))
+        .ok_or_else(|| malformed(what))
 }
 
 fn num_arr(j: Option<&Json>, what: &str) -> Result<Vec<u64>, String> {
-    j.and_then(Json::arr)
-        .and_then(|items| items.iter().map(|v| v.num()).collect::<Option<Vec<_>>>())
-        .ok_or_else(|| format!("journal: missing or malformed '{what}'"))
+    j.and_then(Json::as_array)
+        .and_then(|items| items.iter().map(Json::as_u64).collect::<Option<Vec<_>>>())
+        .ok_or_else(|| malformed(what))
 }
 
 fn metrics_to_json(m: &WorkloadMetrics) -> Json {
-    let f = |k: &str| k.to_string();
+    let kind = |k: &str| ("kind", Json::Str(k.into()));
     match m {
         WorkloadMetrics::Io {
             latency,
             completed,
             offered,
-        } => Json::Obj(vec![
-            (f("kind"), Json::Str("io".into())),
-            (f("count"), Json::Num(latency.count)),
-            (f("mean"), f64_bits(latency.mean_ns)),
-            (f("p95"), f64_bits(latency.p95_ns)),
-            (f("p99"), f64_bits(latency.p99_ns)),
-            (f("max"), f64_bits(latency.max_ns)),
-            (f("nan"), Json::Num(latency.nan_samples)),
-            (f("completed"), Json::Num(*completed)),
-            (f("offered"), Json::Num(*offered)),
+        } => Json::obj([
+            kind("io"),
+            ("count", Json::uint(latency.count)),
+            ("mean", f64_bits(latency.mean_ns)),
+            ("p95", f64_bits(latency.p95_ns)),
+            ("p99", f64_bits(latency.p99_ns)),
+            ("max", f64_bits(latency.max_ns)),
+            ("nan", Json::uint(latency.nan_samples)),
+            ("completed", Json::uint(*completed)),
+            ("offered", Json::uint(*offered)),
         ]),
         WorkloadMetrics::Spin {
             work_items,
@@ -379,19 +135,18 @@ fn metrics_to_json(m: &WorkloadMetrics) -> Json {
             lock_hold_max_ns,
             lock_wait_mean_ns,
             spin_ns,
-        } => Json::Obj(vec![
-            (f("kind"), Json::Str("spin".into())),
-            (f("work_items"), Json::Num(*work_items)),
-            (f("hold_mean"), f64_bits(*lock_hold_mean_ns)),
-            (f("hold_max"), f64_bits(*lock_hold_max_ns)),
-            (f("wait_mean"), f64_bits(*lock_wait_mean_ns)),
-            (f("spin_ns"), Json::Num(*spin_ns)),
+        } => Json::obj([
+            kind("spin"),
+            ("work_items", Json::uint(*work_items)),
+            ("hold_mean", f64_bits(*lock_hold_mean_ns)),
+            ("hold_max", f64_bits(*lock_hold_max_ns)),
+            ("wait_mean", f64_bits(*lock_wait_mean_ns)),
+            ("spin_ns", Json::uint(*spin_ns)),
         ]),
-        WorkloadMetrics::Mem { instructions } => Json::Obj(vec![
-            (f("kind"), Json::Str("mem".into())),
-            (f("instructions"), f64_bits(*instructions)),
-        ]),
-        WorkloadMetrics::None => Json::Obj(vec![(f("kind"), Json::Str("none".into()))]),
+        WorkloadMetrics::Mem { instructions } => {
+            Json::obj([kind("mem"), ("instructions", f64_bits(*instructions))])
+        }
+        WorkloadMetrics::None => Json::obj([kind("none")]),
     }
 }
 
@@ -426,48 +181,27 @@ fn metrics_from_json(j: &Json) -> Result<WorkloadMetrics, String> {
 }
 
 fn report_to_json(r: &RunReport) -> Json {
-    Json::Obj(vec![
-        ("sim_ns".into(), Json::Num(r.sim_ns)),
-        ("policy".into(), Json::Str(r.policy.clone())),
-        (
-            "pcpu_busy_ns".into(),
-            Json::Arr(r.pcpu_busy_ns.iter().map(|&n| Json::Num(n)).collect()),
-        ),
-        (
-            "vms".into(),
-            Json::Arr(
-                r.vms
-                    .iter()
-                    .map(|vm| {
-                        Json::Obj(vec![
-                            ("vm".into(), Json::Num(vm.vm.index() as u64)),
-                            ("name".into(), Json::Str(vm.name.clone())),
-                            (
-                                "cpu".into(),
-                                Json::Arr(vm.vcpu_cpu_ns.iter().map(|&n| Json::Num(n)).collect()),
-                            ),
-                            (
-                                "mig".into(),
-                                Json::Arr(
-                                    vm.vcpu_pool_migrations
-                                        .iter()
-                                        .map(|&n| Json::Num(n))
-                                        .collect(),
-                                ),
-                            ),
-                            ("metrics".into(), metrics_to_json(&vm.metrics)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+    let vms = r.vms.iter().map(|vm| {
+        Json::obj([
+            ("vm", Json::uint(vm.vm.index() as u64)),
+            ("name", Json::Str(vm.name.clone())),
+            ("cpu", uints(&vm.vcpu_cpu_ns)),
+            ("mig", uints(&vm.vcpu_pool_migrations)),
+            ("metrics", metrics_to_json(&vm.metrics)),
+        ])
+    });
+    Json::obj([
+        ("sim_ns", Json::uint(r.sim_ns)),
+        ("policy", Json::Str(r.policy.clone())),
+        ("pcpu_busy_ns", uints(&r.pcpu_busy_ns)),
+        ("vms", Json::Arr(vms.collect())),
     ])
 }
 
 fn report_from_json(j: &Json) -> Result<RunReport, String> {
     let vms = j
         .get("vms")
-        .and_then(Json::arr)
+        .and_then(Json::as_array)
         .ok_or("journal: missing 'vms'")?
         .iter()
         .map(|vj| {
@@ -490,28 +224,21 @@ fn report_from_json(j: &Json) -> Result<RunReport, String> {
 
 /// Encodes one entry as a single JSONL line (no trailing newline).
 pub fn encode(e: &JournalEntry) -> String {
-    let doc = Json::Obj(vec![
-        ("v".into(), Json::Num(1)),
-        ("fp".into(), Json::Num(e.fp)),
-        ("scenario".into(), Json::Str(e.scenario.clone())),
-        ("policy".into(), Json::Str(e.policy.clone())),
-        ("seed".into(), Json::Num(e.seed)),
-        ("wall_ns".into(), Json::Num(e.wall_ns)),
-        ("report".into(), report_to_json(&e.report)),
-    ]);
-    let mut out = String::new();
-    doc.write(&mut out);
-    out
+    Json::obj([
+        ("v", Json::uint(1)),
+        ("fp", Json::uint(e.fp)),
+        ("scenario", Json::Str(e.scenario.clone())),
+        ("policy", Json::Str(e.policy.clone())),
+        ("seed", Json::uint(e.seed)),
+        ("wall_ns", Json::uint(e.wall_ns)),
+        ("report", report_to_json(&e.report)),
+    ])
+    .to_line()
 }
 
 /// Decodes one JSONL line.
 pub fn decode(line: &str) -> Result<JournalEntry, String> {
-    let mut p = Parser::new(line);
-    let doc = p.value()?;
-    p.skip_ws();
-    if p.peek().is_some() {
-        return Err("journal: trailing garbage after JSON value".to_string());
-    }
+    let doc = Json::parse(line).map_err(|e| format!("journal {e}"))?;
     if need_num(doc.get("v"), "v")? != 1 {
         return Err("journal: unsupported version".to_string());
     }
@@ -555,6 +282,7 @@ pub fn load(path: &Path) -> Result<Vec<JournalEntry>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry() -> JournalEntry {
         JournalEntry {
@@ -597,6 +325,68 @@ mod tests {
                 ],
                 pcpu_busy_ns: vec![1999, 0],
             },
+        }
+    }
+
+    /// [`entry`] plus a VM of every other metrics kind, a non-ASCII
+    /// name and a control character that encodes as a `\u` escape.
+    fn full_entry() -> JournalEntry {
+        let mut e = entry();
+        e.scenario = "café \u{1b}[1m".to_string();
+        e.report.vms.push(VmReport {
+            vm: VmId(2),
+            name: "spin\\lock".to_string(),
+            vcpu_cpu_ns: vec![5, 6, 7, 8],
+            vcpu_pool_migrations: vec![0, 2, 0, 1],
+            metrics: WorkloadMetrics::Spin {
+                work_items: 31,
+                lock_hold_mean_ns: 1.0 / 3.0,
+                lock_hold_max_ns: 2.5e4,
+                lock_wait_mean_ns: f64::MIN_POSITIVE,
+                spin_ns: u64::MAX,
+            },
+        });
+        e.report.vms.push(VmReport {
+            vm: VmId(3),
+            name: "idle".to_string(),
+            vcpu_cpu_ns: vec![0],
+            vcpu_pool_migrations: vec![0],
+            metrics: WorkloadMetrics::None,
+        });
+        e
+    }
+
+    #[test]
+    fn encode_matches_the_established_line_format() {
+        // Journals written before the shared JSON codec must keep
+        // resuming: the line is pinned byte for byte.
+        let line = r#"{"v":1,"fp":16045690984503111693,"scenario":"café \u001b[1m","policy":"aql-sched","seed":7,"wall_ns":123456,"report":{"sim_ns":1000000,"policy":"aql-sched","pcpu_busy_ns":[1999,0],"vms":[{"vm":0,"name":"web-0","cpu":[400,600],"mig":[1,0],"metrics":{"kind":"io","count":42,"mean":4599075939470750516,"p95":4741671816366391296,"p99":9218868437227405311,"max":4752561175248502784,"nan":0,"completed":42,"offered":45}},{"vm":1,"name":"walk","cpu":[999],"mig":[0],"metrics":{"kind":"mem","instructions":4787879594345410560}},{"vm":2,"name":"spin\\lock","cpu":[5,6,7,8],"mig":[0,2,0,1],"metrics":{"kind":"spin","work_items":31,"hold_mean":4599676419421066581,"hold_max":4672601161629433856,"wait_mean":4503599627370496,"spin_ns":18446744073709551615}},{"vm":3,"name":"idle","cpu":[0],"mig":[0],"metrics":{"kind":"none"}}]}}"#;
+        assert_eq!(encode(&full_entry()), line);
+        assert_eq!(decode(line).unwrap(), full_entry());
+    }
+
+    #[test]
+    fn every_truncation_of_a_line_is_an_error() {
+        let line = encode(&full_entry()).into_bytes();
+        for cut in 0..line.len() {
+            assert!(decode(&String::from_utf8_lossy(&line[..cut])).is_err());
+        }
+    }
+
+    #[test]
+    fn deeply_nested_line_is_an_error() {
+        assert!(decode(&"[".repeat(100_000)).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn mutated_lines_decode_without_panicking(at in 0usize..4096, byte in any::<u8>()) {
+            let mut line = encode(&full_entry()).into_bytes();
+            let at = at % line.len();
+            line[at] = byte;
+            let _ = decode(&String::from_utf8_lossy(&line));
         }
     }
 

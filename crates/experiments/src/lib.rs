@@ -30,7 +30,9 @@
 //! [`Table`]s ([`emit`]) through shared, named normalisation
 //! reducers. Figure output is byte-identical across thread counts and
 //! time-advance modes; `tests/figure_goldens.rs` pins every table
-//! against committed goldens.
+//! against committed goldens. Both binaries share one execution-flag
+//! parser ([`ExecOpts::parse_flag`]) and one JSON codec ([`json`]),
+//! which writes the resume [`journal`] and `BENCH_sweep.json`.
 
 #![warn(missing_docs)]
 
@@ -43,6 +45,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod journal;
+pub mod json;
 pub mod plan;
 pub mod sweep;
 pub mod tables;

@@ -215,7 +215,69 @@ impl ExecOpts {
             ..ExecOpts::default()
         }
     }
+
+    /// Applies `flag` when it is one of the execution flags `sweep` and
+    /// `repro` share — `--threads N`, `--time-mode adaptive|dense`,
+    /// `--max-cell-wall DUR`, `--retries N`, `--journal PATH` and
+    /// `--resume` — taking its value from `args`. Returns `Ok(false)`
+    /// and consumes nothing for any other argument; an error names the
+    /// flag. Call [`ExecOpts::check_flags`] once every argument is read.
+    pub fn parse_flag(&mut self, flag: &str, args: &mut Args<'_>) -> Result<bool, String> {
+        match flag {
+            "--threads" => self.threads = number_value(args, flag)?,
+            "--time-mode" => {
+                let v = flag_value(args, flag)?;
+                self.time_mode = TIME_MODE_NAMES
+                    .iter()
+                    .find(|(_, name)| *name == v)
+                    .map(|&(mode, _)| mode)
+                    .ok_or_else(|| format!("--time-mode must be adaptive or dense, got '{v}'"))?;
+            }
+            "--max-cell-wall" => {
+                let v = flag_value(args, flag)?;
+                let ns = aql_sim::time::parse_dur(v)
+                    .ok_or_else(|| format!("--max-cell-wall: bad duration '{v}'"))?;
+                self.max_cell_wall = Some(Duration::from_nanos(ns));
+            }
+            "--retries" => self.retries = number_value(args, flag)?,
+            "--journal" => self.journal = Some(flag_value(args, flag)?.into()),
+            "--resume" => self.resume = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Rejects settings that cannot run together: `resume` without a
+    /// `journal`.
+    pub fn check_flags(&self) -> Result<(), String> {
+        if self.resume && self.journal.is_none() {
+            return Err("--resume requires --journal".to_string());
+        }
+        Ok(())
+    }
 }
+
+/// The unread rest of a command line.
+pub type Args<'a> = std::slice::Iter<'a, String>;
+
+/// Takes the value that follows `flag`, or errs naming the flag.
+pub fn flag_value<'a>(args: &mut Args<'a>, flag: &str) -> Result<&'a str, String> {
+    args.next()
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// Takes the number that follows `flag`, or errs naming the flag.
+pub fn number_value<T: std::str::FromStr>(args: &mut Args<'_>, flag: &str) -> Result<T, String> {
+    let v = flag_value(args, flag)?;
+    v.parse()
+        .map_err(|_| format!("{flag} needs a number, got '{v}'"))
+}
+
+/// How each [`TimeMode`] is spelled on the command line and in the
+/// journal fingerprint.
+const TIME_MODE_NAMES: [(TimeMode, &str); 2] =
+    [(TimeMode::Adaptive, "adaptive"), (TimeMode::Dense, "dense")];
 
 /// Why a cell failed, coarsely — the axis the retry policy pivots on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,10 +462,11 @@ fn classify(cell: &PlanCell, err: &EngineError, attempts: u32) -> CellFailure {
 }
 
 fn time_mode_label(mode: TimeMode) -> &'static str {
-    match mode {
-        TimeMode::Dense => "dense",
-        TimeMode::Adaptive => "adaptive",
-    }
+    TIME_MODE_NAMES
+        .iter()
+        .find(|&&(m, _)| m == mode)
+        .map(|&(_, name)| name)
+        .expect("every time mode has a name")
 }
 
 /// Runs every cell across the worker pool; results are returned in
@@ -427,9 +490,7 @@ pub fn execute(cells: &[PlanCell], opts: &ExecOpts) -> Result<Vec<CellResult>, S
     if cells.is_empty() {
         return Err("empty plan".to_string());
     }
-    if opts.resume && opts.journal.is_none() {
-        return Err("resume requires a journal path".to_string());
-    }
+    opts.check_flags()?;
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -747,6 +808,7 @@ pub fn classes_present(spec: &ScenarioSpec) -> Vec<VcpuType> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny(name: &str) -> ScenarioSpec {
         ScenarioSpec::parse(&format!(
@@ -1021,6 +1083,90 @@ mod tests {
         };
         let err = execute(&[PlanCell::new(tiny("x"), "xen-credit")], &opts);
         assert!(err.is_err_and(|e| e.contains("journal")));
+    }
+
+    /// Drives [`ExecOpts::parse_flag`] the way the binaries do,
+    /// skipping the arguments a binary would handle itself.
+    fn parse_exec(argv: &[&str]) -> Result<ExecOpts, String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        let mut opts = ExecOpts::default();
+        let mut args = argv.iter();
+        while let Some(arg) = args.next() {
+            opts.parse_flag(arg, &mut args)?;
+        }
+        opts.check_flags().map(|()| opts)
+    }
+
+    const SHARED_FLAGS: [&str; 6] = [
+        "--threads",
+        "--time-mode",
+        "--max-cell-wall",
+        "--retries",
+        "--journal",
+        "--resume",
+    ];
+
+    #[test]
+    fn shared_flags_parse_and_name_their_errors() {
+        let opts = parse_exec(&[
+            "--threads",
+            "3",
+            "fig7",
+            "--time-mode",
+            "dense",
+            "--max-cell-wall",
+            "250ms",
+            "--retries",
+            "2",
+            "--resume",
+            "--journal",
+            "j.jsonl",
+        ])
+        .unwrap();
+        assert_eq!(opts.threads, 3);
+        assert_eq!(opts.time_mode, TimeMode::Dense);
+        assert_eq!(opts.max_cell_wall, Some(Duration::from_millis(250)));
+        assert_eq!(opts.retries, 2);
+        assert_eq!(opts.journal, Some(PathBuf::from("j.jsonl")));
+        assert!(opts.resume);
+        for (argv, err) in [
+            (&["--threads"][..], "--threads needs a value"),
+            (&["--threads", "two"], "--threads needs a number, got 'two'"),
+            (
+                &["--time-mode", "both"],
+                "--time-mode must be adaptive or dense, got 'both'",
+            ),
+            (
+                &["--max-cell-wall", "soon"],
+                "--max-cell-wall: bad duration 'soon'",
+            ),
+            (&["--retries", "-1"], "--retries needs a number, got '-1'"),
+            (&["--resume"], "--resume requires --journal"),
+        ] {
+            assert_eq!(parse_exec(argv).unwrap_err(), err);
+        }
+        assert_eq!(time_mode_label(TimeMode::Adaptive), "adaptive");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn random_argv_parses_or_names_the_offending_flag(
+            picks in prop::collection::vec(0usize..23, 0..8),
+        ) {
+            const TOKENS: [&str; 23] = [
+                "--threads", "--time-mode", "--max-cell-wall", "--retries", "--journal",
+                "--resume", "4", "0", "adaptive", "dense", "250ms", "j.jsonl", "", "-1",
+                "abc", "both", "1e3", "18446744073709551616", "ms", "--bogus", "fig7", "-",
+                "--",
+            ];
+            let argv: Vec<&str> = picks.iter().map(|&i| TOKENS[i]).collect();
+            match parse_exec(&argv) {
+                Ok(opts) => prop_assert!(!opts.resume || opts.journal.is_some()),
+                Err(e) => prop_assert!(SHARED_FLAGS.iter().any(|f| e.starts_with(f)), "{e}"),
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,9 @@ use aql_scenarios::{catalog, classes, parse_policy, ScenarioSpec};
 use aql_sim::rng::derive_seed;
 
 use crate::emit::{fmt_ratio, Table};
-use crate::plan::{class_mean_norm, execute, seed_mean, CellFailure, ExecOpts, PlanCell};
+use crate::plan::{
+    class_mean_norm, execute, seed_mean, CellFailure, CellResult, ExecOpts, PlanCell,
+};
 
 /// What to sweep and how to run it.
 #[derive(Debug, Clone)]
@@ -71,47 +73,18 @@ impl Default for SweepConfig {
     }
 }
 
-/// One cell of the matrix: a scenario replicate under one policy.
-#[derive(Debug)]
-pub struct SweepJob {
-    /// Index of the scenario in the swept spec list.
-    pub scenario_index: usize,
-    /// Policy name.
-    pub policy: String,
-    /// Replicate index.
-    pub seed_index: usize,
-    /// Derived base seed for this replicate.
-    pub base_seed: u64,
-}
-
-/// A completed job with its measured report.
-#[derive(Debug)]
-pub struct SweepResult {
-    /// The matrix cell that produced this report.
-    pub job: SweepJob,
-    /// The steady-state report; `None` when the policy cannot run on
-    /// the scenario's machine (e.g. vTurbo on a single-core host) —
-    /// the table renders such cells as `-` — or when the cell failed
-    /// (rendered `FAIL`; see `failure`).
-    pub report: Option<RunReport>,
-    /// The contained failure, when the cell ran but did not finish
-    /// (panic, livelock, wall budget, invariant violation).
-    pub failure: Option<CellFailure>,
-    /// Wall-clock time this cell took to simulate, in nanoseconds
-    /// (zero for inapplicable cells). Wall time never enters the
-    /// aggregated table — it would break byte-stability — but perf
-    /// tooling (`sweep --time-mode both`, `BENCH_sweep.json`) sums it
-    /// per scenario to track the engine's speed.
-    pub wall_ns: u64,
-}
-
-/// The full outcome: per-job reports (matrix order) plus the
-/// aggregated comparison table.
+/// The full outcome: every cell's result plus the aggregated
+/// comparison table.
 #[derive(Debug)]
 pub struct SweepOutcome {
-    /// Every job's result, in matrix order (scenario-major, then
-    /// seed, then policy).
-    pub results: Vec<SweepResult>,
+    /// Every cell's result, in matrix order (scenario-major, then
+    /// seed, then policy). A cell's `wall_ns` never enters the table —
+    /// it would break byte-stability — but perf tooling (`sweep
+    /// --time-mode both`, `BENCH_sweep.json`) sums it.
+    pub results: Vec<CellResult>,
+    /// Cells per scenario (seeds × policies): result `i` belongs to
+    /// scenario `i / per_scenario`.
+    pub per_scenario: usize,
     /// The aggregated comparison table.
     pub table: Table,
 }
@@ -127,17 +100,10 @@ impl SweepOutcome {
     /// element `i` is scenario `i`'s wall-time sum over its seeds and
     /// policies.
     pub fn wall_ns_by_scenario(&self) -> Vec<u64> {
-        let n = self
-            .results
-            .iter()
-            .map(|r| r.job.scenario_index + 1)
-            .max()
-            .unwrap_or(0);
-        let mut acc = vec![0u64; n];
-        for r in &self.results {
-            acc[r.job.scenario_index] += r.wall_ns;
-        }
-        acc
+        self.results
+            .chunks(self.per_scenario)
+            .map(|cells| cells.iter().map(|r| r.wall_ns).sum())
+            .collect()
     }
 
     /// Every contained cell failure, in matrix order.
@@ -150,28 +116,24 @@ impl SweepOutcome {
 }
 
 /// Expands the matrix for a spec list: scenario-major, then seed,
-/// then policy — the fixed order aggregation relies on.
-pub fn plan(specs: &[ScenarioSpec], cfg: &SweepConfig) -> Vec<SweepJob> {
-    let mut jobs = Vec::with_capacity(specs.len() * cfg.seeds * cfg.policies.len());
-    for (scenario_index, spec) in specs.iter().enumerate() {
+/// then policy — the fixed order aggregation relies on. Replicate `k`
+/// of a scenario runs at base seed `derive_seed(name, k)`.
+pub fn plan(specs: &[ScenarioSpec], cfg: &SweepConfig) -> Vec<PlanCell> {
+    let mut cells = Vec::with_capacity(specs.len() * cfg.seeds * cfg.policies.len());
+    for spec in specs {
         for seed_index in 0..cfg.seeds {
             let base_seed = derive_seed(&spec.name, seed_index as u64);
             for policy in &cfg.policies {
-                jobs.push(SweepJob {
-                    scenario_index,
-                    policy: policy.clone(),
-                    seed_index,
-                    base_seed,
-                });
+                cells.push(PlanCell::new(spec.clone(), policy).with_seed(base_seed));
             }
         }
     }
-    jobs
+    cells
 }
 
 /// Runs the matrix over the given specs — by expanding it into
-/// [`PlanCell`]s and fanning them through the shared plan executor
-/// ([`crate::plan::execute`]). Fails fast (before spawning any
+/// [`PlanCell`]s ([`plan`]) and fanning them through the shared plan
+/// executor ([`crate::plan::execute`]). Fails fast (before spawning any
 /// thread) on an unknown policy token.
 pub fn run_sweep_on(specs: &[ScenarioSpec], cfg: &SweepConfig) -> Result<SweepOutcome, String> {
     let specs: Vec<ScenarioSpec> = specs
@@ -185,25 +147,13 @@ pub fn run_sweep_on(specs: &[ScenarioSpec], cfg: &SweepConfig) -> Result<SweepOu
     if specs.is_empty() || cfg.seeds == 0 || cfg.policies.is_empty() {
         return Err("empty sweep matrix".to_string());
     }
-    let jobs = plan(&specs, cfg);
-    let cells: Vec<PlanCell> = jobs
-        .iter()
-        .map(|job| {
-            PlanCell::new(specs[job.scenario_index].clone(), &job.policy).with_seed(job.base_seed)
-        })
-        .collect();
-    let results: Vec<SweepResult> = jobs
-        .into_iter()
-        .zip(execute(&cells, &cfg.exec)?)
-        .map(|(job, cell)| SweepResult {
-            job,
-            report: cell.report,
-            failure: cell.failure,
-            wall_ns: cell.wall_ns,
-        })
-        .collect();
+    let results = execute(&plan(&specs, cfg), &cfg.exec)?;
     let table = aggregate(&specs, cfg, &results);
-    Ok(SweepOutcome { results, table })
+    Ok(SweepOutcome {
+        results,
+        per_scenario: cfg.seeds * cfg.policies.len(),
+        table,
+    })
 }
 
 /// Resolves catalog names and runs the matrix over them.
@@ -224,7 +174,7 @@ pub fn run_sweep(names: &[String], cfg: &SweepConfig) -> Result<SweepOutcome, St
 /// Builds the aggregated comparison table: one row per scenario ×
 /// policy, normalised over that scenario's `xen-credit` replicate of
 /// the same seed (the paper's normalisation), averaged across seeds.
-fn aggregate(specs: &[ScenarioSpec], cfg: &SweepConfig, results: &[SweepResult]) -> Table {
+fn aggregate(specs: &[ScenarioSpec], cfg: &SweepConfig, results: &[CellResult]) -> Table {
     let n_pol = cfg.policies.len();
     let baseline_col = cfg.policies.iter().position(|p| p == "xen-credit");
     let mut table = Table::new(
@@ -326,17 +276,18 @@ mod tests {
     #[test]
     fn matrix_order_is_scenario_seed_policy() {
         let specs = [tiny("a"), tiny("b")];
-        let jobs = plan(&specs, &tiny_cfg(1));
-        assert_eq!(jobs.len(), 2 * 2 * 2);
-        assert_eq!(jobs[0].scenario_index, 0);
-        assert_eq!(jobs[0].policy, "xen-credit");
-        assert_eq!(jobs[1].policy, "aql-sched");
-        assert_eq!(jobs[2].seed_index, 1);
-        assert_eq!(jobs[4].scenario_index, 1);
-        // Seeds derive from the scenario name alone.
-        assert_eq!(jobs[0].base_seed, derive_seed("a", 0));
-        assert_eq!(jobs[4].base_seed, derive_seed("b", 0));
-        assert_ne!(jobs[0].base_seed, jobs[2].base_seed);
+        let cells = plan(&specs, &tiny_cfg(1));
+        assert_eq!(cells.len(), 2 * 2 * 2);
+        assert_eq!(cells[0].spec.name, "a");
+        assert_eq!(cells[0].policy, "xen-credit");
+        assert_eq!(cells[1].policy, "aql-sched");
+        assert_eq!(cells[4].spec.name, "b");
+        // Seeds derive from the scenario name and replicate alone.
+        assert_eq!(cells[0].base_seed, derive_seed("a", 0));
+        assert_eq!(cells[1].base_seed, derive_seed("a", 0));
+        assert_eq!(cells[2].base_seed, derive_seed("a", 1));
+        assert_eq!(cells[4].base_seed, derive_seed("b", 0));
+        assert_ne!(cells[0].base_seed, cells[2].base_seed);
     }
 
     #[test]
@@ -392,6 +343,9 @@ mod tests {
         let specs = [tiny("ok"), faulty];
         let out = run_sweep_on(&specs, &tiny_cfg(2)).unwrap();
         assert!(!out.failures().is_empty());
+        let by_scenario = out.wall_ns_by_scenario();
+        assert_eq!(by_scenario.len(), 2);
+        assert_eq!(by_scenario.iter().sum::<u64>(), out.total_wall_ns());
         assert!(
             out.table.render().contains("FAIL"),
             "{}",

@@ -87,26 +87,6 @@ impl Default for RunBudget {
     }
 }
 
-impl RunBudget {
-    /// A budget that can never trip: `run_measured_budgeted` with this
-    /// is `run_measured` wrapped in `Ok`.
-    pub fn unlimited() -> Self {
-        RunBudget {
-            max_wall: None,
-            livelock_bails: None,
-            check_invariants: false,
-        }
-    }
-
-    /// The default sentinels plus a wall-clock deadline.
-    pub fn with_max_wall(wall: Duration) -> Self {
-        RunBudget {
-            max_wall: Some(wall),
-            ..RunBudget::default()
-        }
-    }
-}
-
 /// A budgeted run's structured failure cause.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
@@ -144,15 +124,6 @@ impl EngineError {
     /// ones recur on every retry by construction.
     pub fn is_environmental(&self) -> bool {
         matches!(self, EngineError::WallBudgetExceeded { .. })
-    }
-
-    /// Short stable tag for tables and journals.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            EngineError::Livelock { .. } => "livelock",
-            EngineError::WallBudgetExceeded { .. } => "wall-budget",
-            EngineError::InvariantViolation { .. } => "invariant",
-        }
     }
 }
 
@@ -214,8 +185,9 @@ impl Simulation {
     /// Runs the standard measurement protocol under `budget`: the exact
     /// [`Simulation::run_measured`] sequence, except that a tripped
     /// sentinel aborts the run and surfaces as a structured
-    /// [`EngineError`]. With [`RunBudget::unlimited`] the two are
-    /// behaviourally identical — the watchdogs are passive observers of
+    /// [`EngineError`]. With a budget that cannot trip (no
+    /// `max_wall`, no `livelock_bails`, no `check_invariants`) the two
+    /// are behaviourally identical — the watchdogs are passive observers of
     /// state the engine maintains anyway, so arming a budget that never
     /// trips changes no result bit.
     pub fn run_measured_budgeted(

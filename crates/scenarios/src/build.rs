@@ -117,39 +117,20 @@ pub fn vcpu_classes(spec: &ScenarioSpec) -> Vec<VcpuType> {
         .collect()
 }
 
-/// Builds the simulation (without running it) at the spec's own seed.
+/// Builds the simulation (without running it) at the spec's own seed,
+/// in the default time mode with coalescing on.
 pub fn build_sim(spec: &ScenarioSpec, policy: Box<dyn SchedPolicy>) -> Simulation {
-    build_sim_seeded(spec, policy, spec.seed)
-}
-
-/// Builds the simulation at an arbitrary base seed, in the default
-/// time mode ([`TimeMode::Adaptive`]).
-pub fn build_sim_seeded(
-    spec: &ScenarioSpec,
-    policy: Box<dyn SchedPolicy>,
-    base_seed: u64,
-) -> Simulation {
-    build_sim_seeded_in(spec, policy, base_seed, TimeMode::default())
+    build_sim_seeded_tuned(spec, policy, spec.seed, TimeMode::default(), true)
 }
 
 /// Builds the simulation at an arbitrary base seed under an explicit
 /// [`TimeMode`]. `Dense` is the conformance oracle; `Adaptive` (the
 /// fast default) reproduces it within the documented tolerance
 /// (bit-identical u64 accounting and events, ≤1e-6 relative drift on
-/// f64 metrics from chunk coalescing).
-pub fn build_sim_seeded_in(
-    spec: &ScenarioSpec,
-    policy: Box<dyn SchedPolicy>,
-    base_seed: u64,
-    mode: TimeMode,
-) -> Simulation {
-    build_sim_seeded_tuned(spec, policy, base_seed, mode, true)
-}
-
-/// [`build_sim_seeded_in`] with explicit control over chunk
-/// coalescing. `coalesce = false` pins `TimeMode::Adaptive` to the
-/// grid-replaying fast path that is bit-identical to `Dense` — the
-/// perf baseline the CI bench records next to the coalesced default.
+/// f64 metrics from chunk coalescing). `coalesce = false` pins
+/// `TimeMode::Adaptive` to the grid-replaying fast path that is
+/// bit-identical to `Dense` — the perf baseline the CI bench records
+/// next to the coalesced default.
 pub fn build_sim_seeded_tuned(
     spec: &ScenarioSpec,
     policy: Box<dyn SchedPolicy>,
@@ -170,12 +151,7 @@ pub fn build_sim_seeded_tuned(
 /// Runs warm-up + measurement at the spec's own seed; returns the
 /// steady-state report.
 pub fn run(spec: &ScenarioSpec, policy: Box<dyn SchedPolicy>) -> RunReport {
-    run_seeded(spec, policy, spec.seed)
-}
-
-/// Runs warm-up + measurement at an arbitrary base seed.
-pub fn run_seeded(spec: &ScenarioSpec, policy: Box<dyn SchedPolicy>, base_seed: u64) -> RunReport {
-    run_seeded_in(spec, policy, base_seed, TimeMode::default())
+    run_seeded_in(spec, policy, spec.seed, TimeMode::default())
 }
 
 /// Runs warm-up + measurement at an arbitrary base seed under an
@@ -186,7 +162,8 @@ pub fn run_seeded_in(
     base_seed: u64,
     mode: TimeMode,
 ) -> RunReport {
-    build_sim_seeded_in(spec, policy, base_seed, mode).run_measured(spec.warmup_ns, spec.measure_ns)
+    build_sim_seeded_tuned(spec, policy, base_seed, mode, true)
+        .run_measured(spec.warmup_ns, spec.measure_ns)
 }
 
 /// [`run_seeded_in`] with explicit control over chunk coalescing (see
@@ -511,7 +488,7 @@ mod tests {
         let b = run(&s, Box::new(xen_credit()));
         assert_eq!(a.vms[0].metrics.time_cost(), b.vms[0].metrics.time_cost());
         assert_eq!(a.total_cpu_ns(), b.total_cpu_ns());
-        let c = run_seeded(&s, Box::new(xen_credit()), 999);
+        let c = run_seeded_in(&s, Box::new(xen_credit()), 999, TimeMode::default());
         assert_ne!(
             a.vms[0].metrics.time_cost(),
             c.vms[0].metrics.time_cost(),

@@ -30,8 +30,8 @@ pub mod spec;
 
 pub use aql_hv::TimeMode;
 pub use build::{
-    build_sim, build_sim_seeded, build_sim_seeded_in, build_sim_seeded_tuned, classes, expand,
-    machine, parse_policy, policy_applicable, policy_for, run, run_seeded, run_seeded_in,
-    run_seeded_tuned, tagged_io_vms, vcpu_classes, PolicySpec, POLICY_NAMES,
+    build_sim, build_sim_seeded_tuned, classes, expand, machine, parse_policy, policy_applicable,
+    policy_for, run, run_seeded_in, run_seeded_tuned, tagged_io_vms, vcpu_classes, PolicySpec,
+    POLICY_NAMES,
 };
 pub use spec::{CachePreset, MachineDecl, ScenarioSpec, SpecError, VmDecl, VmSeed};
