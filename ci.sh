@@ -19,6 +19,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 step "cargo build --release"
 cargo build --release
 
+step "benchmark build: perfbench still compiles against the crates it calls"
+# perfbench/ is its own Cargo package (not a workspace member), so the
+# workspace build above does not see it; renaming an API it calls
+# would otherwise only surface when the benchmark runs.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked \
+    --manifest-path perfbench/Cargo.toml
+
 step "cargo test -q"
 cargo test -q --workspace
 

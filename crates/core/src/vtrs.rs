@@ -223,11 +223,6 @@ impl Vtrs {
         }
     }
 
-    /// All recognised types, vCPU-index order.
-    pub fn all_types(&self) -> Vec<VcpuType> {
-        (0..self.monitors.len()).map(|i| self.type_of(i)).collect()
-    }
-
     /// Whether every monitor has a full window.
     pub fn warmed_up(&self) -> bool {
         self.monitors.iter().all(|m| m.filled() >= self.cfg.window)

@@ -50,12 +50,6 @@ fn app_cells(app: &str, quick: bool) -> Vec<PlanCell> {
     quantum_cells(&spec)
 }
 
-/// Runs the sweep for one application: normalised cost per quantum.
-pub fn run_app(app: &str, quick: bool, opts: &ExecOpts) -> Vec<Option<f64>> {
-    let results = execute(&app_cells(app, quick), opts).expect("fig5 plan is well-formed");
-    fold_quanta(&results)
-}
-
 /// Runs the whole figure over `apps` (or the full catalog when empty)
 /// as a single plan.
 pub fn run(apps: &[&str], quick: bool, opts: &ExecOpts) -> Table {

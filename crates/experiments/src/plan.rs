@@ -29,13 +29,14 @@
 //! # Fault isolation
 //!
 //! Each cell is a failure domain. A worker wraps the cell's whole
-//! build-run-probe body in `catch_unwind` and runs it under a
-//! [`RunBudget`] with the livelock and invariant sentinels armed, so
-//! a panicking, hanging or account-corrupting cell becomes a
-//! classified [`CellFailure`] in its own slot while every sibling
-//! cell's report stays bit-identical to a fault-free run (the
-//! simulation is already a pure function of its cell, so containment
-//! costs nothing). Environmental failures (wall-budget trips) retry
+//! build-run-probe body in `catch_unwind` and runs it through
+//! [`Simulation::run_measured_budgeted`] with the livelock and
+//! invariant sentinels armed, so a panicking, hanging or
+//! account-corrupting cell becomes a classified [`CellFailure`] in its
+//! own slot while every sibling cell's report stays bit-identical to a
+//! fault-free run (the simulation is already a pure function of its
+//! cell, so containment costs nothing). Environmental failures
+//! (wall-budget trips) retry
 //! with exponential backoff up to [`ExecOpts::retries`]; determinis-
 //! tic failures (panic, livelock, invariant violation) never retry —
 //! rerunning a pure function cannot change its answer. Setting
@@ -56,7 +57,7 @@ use std::time::Duration;
 
 use aql_core::AqlSched;
 use aql_hv::apptype::VcpuType;
-use aql_hv::{EngineError, RunBudget, RunReport, Simulation, TimeMode};
+use aql_hv::{EngineError, RunReport, Simulation, TimeMode};
 use aql_scenarios::{build_sim_seeded_tuned, parse_policy, ScenarioSpec};
 
 use crate::journal::{self, JournalEntry};
@@ -594,10 +595,6 @@ pub fn execute(cells: &[PlanCell], opts: &ExecOpts) -> Result<Vec<CellResult>, S
                 if !policy.applicable(&cell.spec) {
                     continue;
                 }
-                let budget = RunBudget {
-                    max_wall: opts.max_cell_wall,
-                    ..RunBudget::default()
-                };
                 let mut attempts = 0u32;
                 let outcome = loop {
                     attempts += 1;
@@ -620,7 +617,7 @@ pub fn execute(cells: &[PlanCell], opts: &ExecOpts) -> Result<Vec<CellResult>, S
                         sim.run_measured_budgeted(
                             cell.spec.warmup_ns,
                             cell.spec.measure_ns,
-                            &budget,
+                            opts.max_cell_wall,
                         )
                         .map(|report| {
                             let probe = extract_probe(&sim, &cell.probe);

@@ -63,7 +63,7 @@ mod monitor;
 #[cfg(test)]
 mod tests;
 
-pub use budget::{EngineError, RunBudget};
+pub use budget::EngineError;
 pub use builder::SimulationBuilder;
 pub use dispatch::{DispatchDecision, DispatchSource};
 pub use machine::{Hypervisor, PcpuState};

@@ -4,9 +4,9 @@
 //! returns a report, even if a degenerate guest starves its vCPU for
 //! the whole run or a corrupted metric poisons the summary. This module
 //! adds the budgeted variant the experiment harness uses for fault
-//! isolation: [`Simulation::run_measured_budgeted`] arms a
-//! [`RunBudget`] and returns `Err(`[`EngineError`]`)` the moment a
-//! sentinel trips, instead of a silently-wrong report.
+//! isolation: [`Simulation::run_measured_budgeted`] arms the sentinels
+//! and returns `Err(`[`EngineError`]`)` the moment one trips, instead
+//! of a silently-wrong report.
 //!
 //! Three sentinels cover the failure modes a cell can hit:
 //!
@@ -47,45 +47,14 @@ use crate::workload::WorkloadMetrics;
 /// slack while the hot loop almost never touches the clock syscall.
 const WALL_CHECK_EVERY: u32 = 256;
 
-/// Default livelock threshold: zero-progress bails charged to one vCPU
-/// before the run is declared dead. A bail fires at most once per
-/// sub-step (100 µs) of *dispatched* time, so this is ~26 ms of the
-/// guest holding a pCPU while consuming nothing — orders of magnitude
-/// beyond any legal starvation the in-tree scenarios produce (their
-/// bail count is exactly zero), yet low enough to trip well inside
-/// even a quick smoke run's window.
+/// Livelock threshold: zero-progress bails charged to one vCPU, summed
+/// over the run, before the run is declared dead. A bail fires at most
+/// once per sub-step (100 µs) of *dispatched* time, so this is ~26 ms
+/// of the guest holding a pCPU while consuming nothing — orders of
+/// magnitude beyond any legal starvation the in-tree scenarios produce
+/// (their bail count is exactly zero), yet low enough to trip well
+/// inside even a quick smoke run's window.
 const DEFAULT_LIVELOCK_BAILS: u32 = 256;
-
-/// Limits a budgeted run (see [`Simulation::run_measured_budgeted`]).
-///
-/// The default budget has no wall deadline, the livelock watchdog on at
-/// [`RunBudget::default`]'s threshold, and invariant checks on — safe
-/// to arm unconditionally, since a healthy run can trip none of them.
-#[derive(Debug, Clone, Copy)]
-pub struct RunBudget {
-    /// Wall-clock deadline for the whole run (warm-up + measurement);
-    /// `None` never times out.
-    pub max_wall: Option<Duration>,
-    /// Zero-progress dispatch bails charged to one vCPU before the run
-    /// is declared livelocked; `None` disables the watchdog. The count
-    /// is cumulative per vCPU across the run: in-tree workloads bail
-    /// exactly zero times, so any threshold this order of magnitude
-    /// separates healthy runs from dead ones cleanly.
-    pub livelock_bails: Option<u32>,
-    /// Whether to verify the report's conservation and finiteness
-    /// invariants before returning it.
-    pub check_invariants: bool,
-}
-
-impl Default for RunBudget {
-    fn default() -> Self {
-        RunBudget {
-            max_wall: None,
-            livelock_bails: Some(DEFAULT_LIVELOCK_BAILS),
-            check_invariants: true,
-        }
-    }
-}
 
 /// A budgeted run's structured failure cause.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,7 +124,8 @@ impl Error for EngineError {}
 /// Live watchdog state while a budgeted run is in flight.
 #[derive(Debug)]
 pub(super) struct ArmedBudget {
-    cfg: RunBudget,
+    /// Wall-clock deadline for the whole run; `None` never times out.
+    max_wall: Option<Duration>,
     started: Instant,
     /// Countdown to the next `Instant::now` read.
     wall_check_in: u32,
@@ -167,9 +137,9 @@ pub(super) struct ArmedBudget {
 }
 
 impl ArmedBudget {
-    fn new(cfg: RunBudget) -> Self {
+    fn new(max_wall: Option<Duration>) -> Self {
         ArmedBudget {
-            cfg,
+            max_wall,
             started: Instant::now(),
             // First poll reads the clock: a heavily-coalesced run can
             // finish in fewer than WALL_CHECK_EVERY loop iterations,
@@ -182,21 +152,20 @@ impl ArmedBudget {
 }
 
 impl Simulation {
-    /// Runs the standard measurement protocol under `budget`: the exact
-    /// [`Simulation::run_measured`] sequence, except that a tripped
-    /// sentinel aborts the run and surfaces as a structured
-    /// [`EngineError`]. With a budget that cannot trip (no
-    /// `max_wall`, no `livelock_bails`, no `check_invariants`) the two
-    /// are behaviourally identical — the watchdogs are passive observers of
-    /// state the engine maintains anyway, so arming a budget that never
-    /// trips changes no result bit.
+    /// Runs the standard measurement protocol with the sentinels armed:
+    /// the exact [`Simulation::run_measured`] sequence, except that a
+    /// livelock, a run past `max_wall` (`None` never times out) or a
+    /// report that breaks an invariant surfaces as a structured
+    /// [`EngineError`]. The watchdogs are passive observers of state the
+    /// engine maintains anyway, so a run that trips none of them
+    /// returns the same report bits as `run_measured`.
     pub fn run_measured_budgeted(
         &mut self,
         warmup_ns: u64,
         measure_ns: u64,
-        budget: &RunBudget,
+        max_wall: Option<Duration>,
     ) -> Result<RunReport, EngineError> {
-        self.budget = Some(ArmedBudget::new(*budget));
+        self.budget = Some(ArmedBudget::new(max_wall));
         self.run_for(warmup_ns);
         if let Some(err) = self.budget.as_ref().and_then(|b| b.tripped.clone()) {
             self.budget = None;
@@ -209,9 +178,7 @@ impl Simulation {
             return Err(err);
         }
         let report = self.report();
-        if budget.check_invariants {
-            self.check_report_invariants(&report)?;
-        }
+        self.check_report_invariants(&report)?;
         Ok(report)
     }
 
@@ -226,7 +193,7 @@ impl Simulation {
         if b.tripped.is_some() {
             return true;
         }
-        if let Some(limit) = b.cfg.max_wall {
+        if let Some(limit) = b.max_wall {
             b.wall_check_in = b.wall_check_in.saturating_sub(1);
             if b.wall_check_in == 0 {
                 b.wall_check_in = WALL_CHECK_EVERY;
@@ -246,9 +213,6 @@ impl Simulation {
         let Some(b) = self.budget.as_mut() else {
             return;
         };
-        let Some(limit) = b.cfg.livelock_bails else {
-            return;
-        };
         if b.tripped.is_some() {
             return;
         }
@@ -257,7 +221,7 @@ impl Simulation {
         }
         let n = b.starve_bails[vid.index()].saturating_add(1);
         b.starve_bails[vid.index()] = n;
-        if n >= limit {
+        if n >= DEFAULT_LIVELOCK_BAILS {
             b.tripped = Some(EngineError::Livelock {
                 vcpu: vid,
                 bails: n,

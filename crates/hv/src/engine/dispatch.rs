@@ -95,32 +95,45 @@ impl Simulation {
         }
     }
 
-    /// Preempts the running vCPU. `exhausted` marks quantum expiry
-    /// (affecting BOOST eligibility on the next wake).
-    pub(super) fn preempt(&mut self, pcpu: usize, vcpu: VcpuId, exhausted: bool) {
+    /// Takes the running `vcpu` off `pcpu`, the state updates every
+    /// deschedule shares: the vCPU moves to `state`, records whether
+    /// its slice was `exhausted` (BOOST eligibility on the next wake)
+    /// and the slice to resume, and a BOOSTed vCPU drops to UNDER.
+    /// Returns the vCPU's priority after that drop.
+    fn deschedule(
+        &mut self,
+        pcpu: usize,
+        vcpu: VcpuId,
+        state: VcpuState,
+        exhausted: bool,
+        resume_slice_ns: Option<u64>,
+    ) -> Prio {
         debug_assert_eq!(self.hv.pcpus[pcpu].running, Some(vcpu));
         self.sched_gen += 1;
         self.hv.pcpus[pcpu].running = None;
-        let now = self.now;
-        let (vm, slot, prio) = {
-            let v = &mut self.hv.vcpus[vcpu.index()];
-            v.state = VcpuState::Runnable;
-            v.last_slice_exhausted = exhausted;
-            v.last_desched = now;
-            // An involuntarily preempted vCPU resumes its remaining
-            // slice later; granting a fresh quantum every time would
-            // let a head-requeued victim monopolise the queue.
-            v.resume_slice_ns = if exhausted {
-                None
-            } else {
-                Some(v.slice_end.saturating_since(now).max(100_000))
-            };
-            if v.prio == Prio::Boost {
-                v.prio = Prio::Under;
-            }
-            (v.vm.index(), v.slot, v.prio)
-        };
-        self.vm_running[vm][slot] = false;
+        let v = &mut self.hv.vcpus[vcpu.index()];
+        v.state = state;
+        v.last_slice_exhausted = exhausted;
+        v.last_desched = self.now;
+        v.resume_slice_ns = resume_slice_ns;
+        if v.prio == Prio::Boost {
+            v.prio = Prio::Under;
+        }
+        self.vm_running[v.vm.index()][v.slot] = false;
+        v.prio
+    }
+
+    /// Preempts the running vCPU. `exhausted` marks quantum expiry
+    /// (affecting BOOST eligibility on the next wake).
+    pub(super) fn preempt(&mut self, pcpu: usize, vcpu: VcpuId, exhausted: bool) {
+        // An involuntarily preempted vCPU resumes its remaining slice
+        // later; granting a fresh quantum every time would let a
+        // head-requeued victim monopolise the queue.
+        let resume = (!exhausted).then(|| {
+            let slice_end = self.hv.vcpus[vcpu.index()].slice_end;
+            slice_end.saturating_since(self.now).max(100_000)
+        });
+        let prio = self.deschedule(pcpu, vcpu, VcpuState::Runnable, exhausted, resume);
         // Parked vCPUs (capped VM out of credit) stay off the queues
         // until the next refill unparks them.
         if self.hv.vcpus[vcpu.index()].parked {
@@ -133,42 +146,14 @@ impl Simulation {
 
     /// Blocks the running vCPU (no runnable work).
     pub(super) fn block(&mut self, pcpu: usize, vcpu: VcpuId) {
-        debug_assert_eq!(self.hv.pcpus[pcpu].running, Some(vcpu));
-        self.sched_gen += 1;
-        self.hv.pcpus[pcpu].running = None;
-        let now = self.now;
-        let v = &mut self.hv.vcpus[vcpu.index()];
-        v.state = VcpuState::Blocked;
-        v.last_slice_exhausted = false;
-        v.last_desched = now;
-        v.resume_slice_ns = None;
-        if v.prio == Prio::Boost {
-            v.prio = Prio::Under;
-        }
-        let (vm, slot) = (v.vm.index(), v.slot);
-        self.vm_running[vm][slot] = false;
+        self.deschedule(pcpu, vcpu, VcpuState::Blocked, false, None);
         // Re-arm the timer: the workload's next wake-up may have moved.
         self.arm_timer(vcpu.index());
     }
 
     /// Voluntary yield: requeue at the tail, stay runnable.
     pub(super) fn yield_requeue(&mut self, pcpu: usize, vcpu: VcpuId) {
-        debug_assert_eq!(self.hv.pcpus[pcpu].running, Some(vcpu));
-        self.sched_gen += 1;
-        self.hv.pcpus[pcpu].running = None;
-        let now = self.now;
-        let (vm, slot, prio) = {
-            let v = &mut self.hv.vcpus[vcpu.index()];
-            v.state = VcpuState::Runnable;
-            v.last_slice_exhausted = false;
-            v.last_desched = now;
-            v.resume_slice_ns = None;
-            if v.prio == Prio::Boost {
-                v.prio = Prio::Under;
-            }
-            (v.vm.index(), v.slot, v.prio)
-        };
-        self.vm_running[vm][slot] = false;
+        let prio = self.deschedule(pcpu, vcpu, VcpuState::Runnable, false, None);
         self.hv.enqueue(vcpu, prio, false, false);
     }
 

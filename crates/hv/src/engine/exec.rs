@@ -12,9 +12,9 @@
 
 use aql_sim::time::SimTime;
 
-use super::Simulation;
+use super::{Simulation, TimeMode};
 use crate::ids::{PcpuId, VcpuId};
-use crate::workload::{ExecContext, StopReason};
+use crate::workload::{ExecContext, Integrator, StopReason};
 
 impl Simulation {
     /// Advances every pCPU by `dt` nanoseconds of wall time.
@@ -143,7 +143,11 @@ impl Simulation {
             ..
         } = &mut self.hv;
         let v = &mut vcpus[vid.index()];
-        let lean = self.time_mode == super::TimeMode::Adaptive;
+        let integrator = match (self.time_mode, coalesced) {
+            (TimeMode::Dense, _) => Integrator::Dense,
+            (TimeMode::Adaptive, false) => Integrator::Lean,
+            (TimeMode::Adaptive, true) => Integrator::Cached(&mut self.rate_cache),
+        };
         let mut ctx = ExecContext {
             now: t0,
             spec: &machine.cache,
@@ -153,8 +157,7 @@ impl Simulation {
             rng: &mut self.rng,
             owner: vid.index(),
             running_slots: &self.vm_running[vm],
-            lean,
-            rate_cache: (lean && coalesced).then_some(&mut self.rate_cache),
+            integrator,
         };
         let mut out = self.workloads[vm].run(slot, budget, &mut ctx);
         debug_assert!(

@@ -39,9 +39,10 @@
 //! floating-point state follows the exact same trajectory. CPU-time
 //! accounting is batched per span, but those accumulators are `u64`s:
 //! integer addition is associative, so batching cannot change a single
-//! bit. The lean cache plumbing ([`aql_mem::exec_step_lean`]) is
-//! bit-identical to the dense one by construction and by property
-//! test.
+//! bit. The grid path executes through [`aql_mem::exec_step_lean`],
+//! the dense oracle through [`aql_mem::exec_step`]: one integrator
+//! loop that differs only in its LLC eviction kernel, and the two
+//! kernels are bit-identical by property test.
 //!
 //! **Chunk coalescing** deliberately relaxes bitwise equality to a
 //! quantified tolerance. When every running slot signs the linear

@@ -289,13 +289,4 @@ impl Hypervisor {
         }
         self.enqueue(vcpu, prio, false, true);
     }
-
-    /// Total CPU time consumed by a VM across its vCPUs.
-    pub fn vm_cpu_ns(&self, vm: VmId) -> u64 {
-        self.vms[vm.index()]
-            .vcpus
-            .iter()
-            .map(|v| self.vcpus[v.index()].cpu_ns)
-            .sum()
-    }
 }

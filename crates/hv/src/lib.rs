@@ -43,7 +43,7 @@ pub mod vm;
 pub mod workload;
 
 pub use apptype::VcpuType;
-pub use engine::{EngineError, RunBudget, Simulation, SimulationBuilder, TimeMode};
+pub use engine::{EngineError, Simulation, SimulationBuilder, TimeMode};
 pub use ids::{PcpuId, PoolId, SocketId, VcpuId, VmId};
 pub use policy::{FixedQuantumPolicy, SchedPolicy};
 pub use pool::{CpuPool, PoolSpec};
@@ -51,8 +51,8 @@ pub use report::{RunReport, VmReport};
 pub use topology::MachineSpec;
 pub use vm::{Prio, Vcpu, VcpuState, VmSpec};
 pub use workload::{
-    ExecContext, GuestWorkload, Horizon, LatencySummary, RunOutcome, StopReason, TimerFire,
-    WorkloadMetrics,
+    ExecContext, GuestWorkload, Horizon, Integrator, LatencySummary, RunOutcome, StopReason,
+    TimerFire, WorkloadMetrics,
 };
 
 /// The Xen Credit scheduler's accounting tick (10 ms).

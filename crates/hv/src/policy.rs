@@ -114,14 +114,6 @@ impl RestrictedCredit {
         }
     }
 
-    /// An arbitrary fixed quantum over the given sockets.
-    pub fn with_quantum(sockets: Vec<crate::ids::SocketId>, quantum_ns: u64) -> Self {
-        RestrictedCredit {
-            quantum_ns,
-            sockets,
-        }
-    }
-
     /// The guest-usable sockets.
     pub fn sockets(&self) -> &[crate::ids::SocketId] {
         &self.sockets

@@ -51,18 +51,11 @@ impl RunReport {
 
     /// Machine utilisation in `[0, 1]`: busy time over capacity.
     pub fn utilisation(&self) -> f64 {
-        self.utilization(self.pcpu_busy_ns.len())
-    }
-
-    /// Utilisation against an explicit pCPU count: busy time over
-    /// `machine_pcpus × sim_ns`. Use this when the capacity basis is
-    /// not the report's own pCPU list — e.g. normalising across
-    /// machines of different sizes, or scoring a pool subset.
-    pub fn utilization(&self, machine_pcpus: usize) -> f64 {
-        if self.sim_ns == 0 || machine_pcpus == 0 {
+        let pcpus = self.pcpu_busy_ns.len();
+        if self.sim_ns == 0 || pcpus == 0 {
             return 0.0;
         }
-        let cap = self.sim_ns as f64 * machine_pcpus as f64;
+        let cap = self.sim_ns as f64 * pcpus as f64;
         self.pcpu_busy_ns.iter().sum::<u64>() as f64 / cap
     }
 
@@ -151,17 +144,17 @@ mod tests {
     fn utilisation_is_busy_over_capacity() {
         let r = report();
         assert!((r.utilisation() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_takes_an_explicit_capacity() {
-        let r = report();
-        // Same basis as the report's own pCPU list: identical value.
-        assert_eq!(r.utilization(2), r.utilisation());
-        // Scored against a 4-pCPU machine, the same busy time is half
-        // the utilisation.
-        assert!((r.utilization(4) - 0.4).abs() < 1e-12);
-        assert_eq!(r.utilization(0), 0.0);
+        // No capacity to divide by: zero, not NaN.
+        let no_pcpus = RunReport {
+            pcpu_busy_ns: Vec::new(),
+            ..report()
+        };
+        assert_eq!(no_pcpus.utilisation(), 0.0);
+        let unmeasured = RunReport {
+            sim_ns: 0,
+            ..report()
+        };
+        assert_eq!(unmeasured.utilisation(), 0.0);
     }
 
     #[test]

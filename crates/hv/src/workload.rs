@@ -186,50 +186,36 @@ pub struct ExecContext<'a> {
     /// Which of this VM's slots are currently on a pCPU; lets
     /// spin-lock models observe holder preemption.
     pub running_slots: &'a [bool],
-    /// Routes [`ExecContext::exec_mem`] through the allocation-free
-    /// lean cache plumbing ([`aql_mem::exec_step_lean`]). The two paths
-    /// are bit-identical; the adaptive time-advance sets this, the
-    /// dense conformance oracle leaves it off.
-    pub lean: bool,
-    /// Steady-rate cache consulted by the lean path; at the
-    /// zero-traffic fixpoint a whole budget is answered in O(1) with
-    /// the integrator's exact bits ([`aql_mem::exec_step_cached`]).
-    /// `None` keeps the plain lean integrator.
-    pub rate_cache: Option<&'a mut RateCache>,
+    /// The integrator [`ExecContext::exec_mem`] runs.
+    pub integrator: Integrator<'a>,
+}
+
+/// Which entry point of the shared execution-speed integrator
+/// ([`aql_mem::exec`]) [`ExecContext::exec_mem`] calls.
+pub enum Integrator<'a> {
+    /// [`aql_mem::exec_step`], evicting through the reference LLC
+    /// kernel: the dense conformance oracle.
+    Dense,
+    /// [`aql_mem::exec_step_lean`], bit-identical to `Dense`: the
+    /// adaptive time-advance's grid path.
+    Lean,
+    /// [`aql_mem::exec_step_cached`]: the lean integrator with the
+    /// steady-rate cache, which answers a whole budget at the
+    /// zero-traffic fixpoint in O(1). Only coalesced spans use it.
+    Cached(&'a mut RateCache),
 }
 
 impl ExecContext<'_> {
     /// Executes `dt_ns` of CPU under `profile`, updating the LLC, the
     /// L2 warmth and the PMU. Returns the retirement outcome.
     pub fn exec_mem(&mut self, profile: &MemProfile, dt_ns: u64) -> ExecOutcome {
-        let out = if !self.lean {
-            exec_step(
-                profile,
-                self.spec,
-                self.llc,
-                self.owner,
-                self.l2_warmth,
-                dt_ns,
-            )
-        } else if let Some(cache) = self.rate_cache.as_deref_mut() {
-            exec_step_cached(
-                profile,
-                self.spec,
-                self.llc,
-                self.owner,
-                self.l2_warmth,
-                dt_ns,
-                cache,
-            )
-        } else {
-            exec_step_lean(
-                profile,
-                self.spec,
-                self.llc,
-                self.owner,
-                self.l2_warmth,
-                dt_ns,
-            )
+        let (spec, owner, dt) = (self.spec, self.owner, dt_ns);
+        let out = match &mut self.integrator {
+            Integrator::Dense => exec_step(profile, spec, self.llc, owner, self.l2_warmth, dt),
+            Integrator::Lean => exec_step_lean(profile, spec, self.llc, owner, self.l2_warmth, dt),
+            Integrator::Cached(cache) => {
+                exec_step_cached(profile, spec, self.llc, owner, self.l2_warmth, dt, cache)
+            }
         };
         self.pmu.add_exec(&out);
         out

@@ -1,7 +1,7 @@
-//! The execution-speed law.
+//! The execution-speed law and its integrator.
 //!
 //! Given a [`MemProfile`], the live LLC state and the vCPU's private-L2
-//! warmth, [`exec_step`] advances a workload by a time budget and
+//! warmth, an execution step advances a workload by a time budget and
 //! reports retired instructions and LLC traffic. Speed follows a
 //! straightforward additive latency model:
 //!
@@ -16,9 +16,24 @@
 //! working set, uniform re-reference). Misses fetch lines, growing the
 //! footprint — so a cold LLCF phase starts slow and accelerates as it
 //! refills, which is exactly the cost short quanta keep re-paying.
+//!
+//! The law is written once (`Law::at`) and integrated by one loop in
+//! frozen-rate sub-steps. The three entry points differ only in what
+//! that loop is compiled with:
+//!
+//! * [`exec_step`] evicts through the reference [`LlcState::insert`];
+//!   the dense conformance oracle uses it.
+//! * [`exec_step_lean`] evicts through [`LlcState::insert_lean`],
+//!   which is bit-identical to `insert`; the adaptive grid path uses it.
+//! * [`exec_step_cached`] is the lean loop with a steady-rate fast path
+//!   (see [`crate::rate`]): a [`RateCache`] hit answers the whole
+//!   budget at the cached rate, and otherwise the first sub-step found
+//!   at the fixpoint answers the rest of the budget and fills the memo.
+//!   Coalesced spans use it.
 
 use crate::llc::LlcState;
 use crate::profile::MemProfile;
+use crate::rate::{rate_key, RateCache, SteadyRate, NEGLIGIBLE_MISS_RATE};
 use crate::spec::CacheSpec;
 
 /// What happened during one execution step.
@@ -32,33 +47,210 @@ pub struct ExecOutcome {
     pub llc_misses: f64,
 }
 
-impl ExecOutcome {
-    /// Accumulates another outcome into this one.
-    pub fn merge(&mut self, other: &ExecOutcome) {
-        self.instructions += other.instructions;
-        self.llc_refs += other.llc_refs;
-        self.llc_misses += other.llc_misses;
-    }
-}
-
 /// Maximum fraction of the working set fetched per internal sub-step;
 /// bounds the discretization error of the frozen-rate integration.
-/// Shared with the cached integrator (`crate::rate`), whose loop must
-/// stay operation-for-operation identical to [`exec_step_lean`].
-pub(crate) const MAX_FILL_FRACTION: f64 = 0.125;
+const MAX_FILL_FRACTION: f64 = 0.125;
 
-/// Hard bound on internal sub-steps per `exec_step` call.
+/// Hard bound on internal sub-steps per execution step.
 ///
 /// The fill-fraction caps can pin the internal chunk near the 1 ns
 /// floor for degenerate profiles (tiny working sets with heavy deep
 /// traffic), making the loop count proportional to the budget — up to
-/// `dt_ns` iterations. The old code only `debug_assert`ed a bound, so
-/// a release build would grind through the pathology at 1 ns per
-/// iteration. Both integrators now take one *saturating* final step
-/// (the whole remainder at the current frozen rates) once this many
-/// sub-steps have run; the discretization guarantee is forfeited for
-/// that tail, boundedness is not.
+/// `dt_ns` iterations. Once this many sub-steps have run, the
+/// integrator takes one *saturating* final step (the whole remainder at
+/// the current frozen rates); the discretization guarantee is forfeited
+/// for that tail, boundedness is not.
 pub const MAX_SUBSTEPS: u32 = 100_000;
+
+/// The execution-speed law for one `(profile, spec)` pair, with its
+/// state-independent terms computed once per call.
+pub(crate) struct Law<'a> {
+    profile: &'a MemProfile,
+    spec: &'a CacheSpec,
+    /// Working-set size in bytes.
+    wss: f64,
+    /// Cache line size in bytes.
+    line: f64,
+    /// L2 hit probability once the L2 is fully warm.
+    h2_cap: f64,
+    /// Bytes of the working set the private L2 can hold (at least 1).
+    l2_target: f64,
+}
+
+/// The law's per-instruction rates at one cache state.
+#[derive(Clone, Copy)]
+pub(crate) struct Rates {
+    /// Deep references that miss the L2 and reach the LLC.
+    llc_refs: f64,
+    /// LLC references that miss the LLC.
+    llc_misses: f64,
+    /// L2 lines filled (one per L2 miss).
+    l2_fill: f64,
+    /// Nanoseconds per instruction.
+    ns_per_instr: f64,
+}
+
+impl Rates {
+    /// The linear rate if a step at these rates cannot move the cache
+    /// state — the snapped zero-traffic fixpoint: at most
+    /// [`NEGLIGIBLE_MISS_RATE`] misses per instruction, and an L2
+    /// warmth that is saturated or filled at a negligible rate.
+    pub(crate) fn steady(&self, l2_warmth: f64) -> Option<SteadyRate> {
+        let inert =
+            self.llc_misses <= NEGLIGIBLE_MISS_RATE && (l2_warmth >= 1.0 || self.l2_fill <= 1e-12);
+        inert.then_some(SteadyRate {
+            ns_per_instr: self.ns_per_instr,
+            llc_ref_per_instr: self.llc_refs,
+        })
+    }
+}
+
+impl<'a> Law<'a> {
+    pub(crate) fn new(profile: &'a MemProfile, spec: &'a CacheSpec) -> Self {
+        let wss = profile.wss_bytes as f64;
+        Law {
+            profile,
+            spec,
+            wss,
+            line: spec.line_bytes as f64,
+            h2_cap: profile.l2_hit_warm(spec),
+            l2_target: (wss.min(spec.l2_bytes as f64)).max(1.0),
+        }
+    }
+
+    /// The rates with `resident` bytes of the working set in the LLC
+    /// and the private L2 at `l2_warmth`.
+    #[inline(always)]
+    pub(crate) fn at(&self, resident: f64, l2_warmth: f64) -> Rates {
+        let (p, s) = (self.profile, self.spec);
+        let deep = p.deep_refs_per_instr;
+        let h2 = self.h2_cap * l2_warmth.clamp(0.0, 1.0);
+        let h3 = if self.wss <= 0.0 {
+            1.0
+        } else {
+            (resident / self.wss).clamp(0.0, 1.0)
+        };
+        let llc_refs = deep * (1.0 - h2);
+        Rates {
+            llc_refs,
+            llc_misses: llc_refs * (1.0 - h3),
+            l2_fill: llc_refs,
+            ns_per_instr: p.base_ns_per_instr
+                + deep
+                    * (h2 * s.l2_hit_ns + (1.0 - h2) * (h3 * s.llc_hit_ns + (1.0 - h3) * s.mem_ns)),
+        }
+    }
+
+    /// Records that `refs` LLC references re-touched the owner's
+    /// working set. Re-referencing protects the resident footprint (LRU
+    /// recency) in proportion to how much of the set was re-touched, so
+    /// streaming owners (one pass over a huge set) stay stale.
+    #[inline(always)]
+    fn touch(&self, llc: &mut LlcState, owner: usize, refs: f64) {
+        if refs > 0.0 && self.wss > 0.0 {
+            llc.touch_frac(owner, refs * self.line / self.wss);
+        }
+    }
+
+    /// Runs `remaining` ns at a fixpoint `rate` in one piece: the
+    /// freshness touch the integrator would make, no insertion (the
+    /// sub-epsilon miss traffic is omitted) and no warmth update.
+    #[inline(always)]
+    fn snap(
+        &self,
+        rate: SteadyRate,
+        remaining: f64,
+        llc: &mut LlcState,
+        owner: usize,
+        out: &mut ExecOutcome,
+    ) {
+        let instr = remaining / rate.ns_per_instr;
+        let refs = instr * rate.llc_ref_per_instr;
+        out.instructions += instr;
+        out.llc_refs += refs;
+        self.touch(llc, owner, refs);
+    }
+
+    /// Integrates the law over `dt_ns` of CPU time in frozen-rate
+    /// sub-steps. `LEAN` picks the eviction kernel. With a `memo`, a
+    /// memo hit before the loop, or the first sub-step at the fixpoint
+    /// inside it, answers the rest of the budget through [`Law::snap`].
+    #[inline(always)]
+    fn integrate<const LEAN: bool>(
+        &self,
+        llc: &mut LlcState,
+        owner: usize,
+        l2_warmth: &mut f64,
+        dt_ns: u64,
+        mut memo: Option<&mut RateCache>,
+    ) -> ExecOutcome {
+        let mut out = ExecOutcome::default();
+        if dt_ns == 0 {
+            return out;
+        }
+        let mut remaining = dt_ns as f64;
+        if let Some(cache) = memo.as_deref_mut() {
+            let key = rate_key(self.profile, *l2_warmth, llc.occupancy(owner));
+            if let Some(rate) = cache.probe(owner, self.spec, key) {
+                self.snap(rate, remaining, llc, owner, &mut out);
+                return out;
+            }
+        }
+        let mut guard: u32 = 0;
+        while remaining > 0.0 {
+            guard += 1;
+            let resident = llc.occupancy(owner);
+            let r = self.at(resident, *l2_warmth);
+            if let Some(cache) = memo.as_deref_mut() {
+                if let Some(rate) = r.steady(*l2_warmth) {
+                    let key = rate_key(self.profile, *l2_warmth, resident);
+                    cache.store(owner, self.spec, key, rate);
+                    self.snap(rate, remaining, llc, owner, &mut out);
+                    return out;
+                }
+            }
+
+            // Cap the chunk so neither footprint moves more than
+            // MAX_FILL_FRACTION of its target within frozen rates. Once
+            // the iteration budget is exhausted the final step
+            // saturates: the whole remainder runs at the current rates.
+            let mut chunk = remaining;
+            if guard < MAX_SUBSTEPS {
+                if r.llc_misses > 1e-12 && self.wss > 0.0 {
+                    let instr_cap = (self.wss * MAX_FILL_FRACTION / self.line) / r.llc_misses;
+                    chunk = chunk.min(instr_cap * r.ns_per_instr);
+                }
+                if r.l2_fill > 1e-12 && *l2_warmth < 1.0 {
+                    let instr_cap = (self.l2_target * MAX_FILL_FRACTION / self.line) / r.l2_fill;
+                    chunk = chunk.min(instr_cap * r.ns_per_instr);
+                }
+            }
+            chunk = chunk.max(remaining.min(1.0)).min(remaining);
+
+            let instr = chunk / r.ns_per_instr;
+            let refs = instr * r.llc_refs;
+            let misses = instr * r.llc_misses;
+            out.instructions += instr;
+            out.llc_refs += refs;
+            out.llc_misses += misses;
+
+            self.touch(llc, owner, refs);
+            if misses > 0.0 {
+                if LEAN {
+                    llc.insert_lean(owner, misses * self.line, self.wss);
+                } else {
+                    llc.insert(owner, misses * self.line, self.wss);
+                }
+            }
+            if r.l2_fill > 1e-12 {
+                let fill = instr * r.l2_fill * self.line;
+                *l2_warmth = (*l2_warmth + fill / self.l2_target).min(1.0);
+            }
+            remaining -= chunk;
+        }
+        out
+    }
+}
 
 /// Advances a workload phase by `dt_ns` nanoseconds of CPU time.
 ///
@@ -74,89 +266,15 @@ pub fn exec_step(
     l2_warmth: &mut f64,
     dt_ns: u64,
 ) -> ExecOutcome {
-    let mut out = ExecOutcome::default();
-    if dt_ns == 0 {
-        return out;
-    }
-    let wss = profile.wss_bytes as f64;
-    let mut remaining = dt_ns as f64;
-    // Internal sub-steps keep rate-freezing honest while footprints move.
-    let mut guard: u32 = 0;
-    while remaining > 0.0 {
-        guard += 1;
-        let h2_cap = profile.l2_hit_warm(spec);
-        let h2 = h2_cap * l2_warmth.clamp(0.0, 1.0);
-        let deep = profile.deep_refs_per_instr;
-        let resident = llc.occupancy(owner);
-        let h3 = if wss <= 0.0 {
-            1.0
-        } else {
-            (resident / wss).clamp(0.0, 1.0)
-        };
-        let llc_ref_per_instr = deep * (1.0 - h2);
-        let llc_miss_per_instr = llc_ref_per_instr * (1.0 - h3);
-        let ns_per_instr = profile.base_ns_per_instr
-            + deep
-                * (h2 * spec.l2_hit_ns
-                    + (1.0 - h2) * (h3 * spec.llc_hit_ns + (1.0 - h3) * spec.mem_ns));
-
-        // Cap the chunk so neither footprint moves more than
-        // MAX_FILL_FRACTION of its target within frozen rates. Once the
-        // iteration budget is exhausted the final step saturates: the
-        // whole remainder runs at the current frozen rates.
-        let mut chunk = remaining;
-        let l2_fill_per_instr = deep * (1.0 - h2);
-        let l2_target = (wss.min(spec.l2_bytes as f64)).max(1.0);
-        if guard < MAX_SUBSTEPS {
-            if llc_miss_per_instr > 1e-12 && wss > 0.0 {
-                let instr_cap =
-                    (wss * MAX_FILL_FRACTION / spec.line_bytes as f64) / llc_miss_per_instr;
-                chunk = chunk.min(instr_cap * ns_per_instr);
-            }
-            if l2_fill_per_instr > 1e-12 && *l2_warmth < 1.0 {
-                let instr_cap =
-                    (l2_target * MAX_FILL_FRACTION / spec.line_bytes as f64) / l2_fill_per_instr;
-                chunk = chunk.min(instr_cap * ns_per_instr);
-            }
-        }
-        chunk = chunk.max(remaining.min(1.0)).min(remaining);
-
-        let instr = chunk / ns_per_instr;
-        let refs = instr * llc_ref_per_instr;
-        let misses = instr * llc_miss_per_instr;
-        out.instructions += instr;
-        out.llc_refs += refs;
-        out.llc_misses += misses;
-
-        if refs > 0.0 && wss > 0.0 {
-            // Re-referencing protects the resident footprint (LRU
-            // recency): the protection is proportional to how much of
-            // the set was re-touched, so streaming owners (one pass
-            // over a huge set) stay stale.
-            llc.touch_frac(owner, refs * spec.line_bytes as f64 / wss);
-        }
-        if misses > 0.0 {
-            llc.insert(owner, misses * spec.line_bytes as f64, wss);
-        }
-        if l2_fill_per_instr > 1e-12 {
-            let fill = instr * l2_fill_per_instr * spec.line_bytes as f64;
-            *l2_warmth = (*l2_warmth + fill / l2_target).min(1.0);
-        }
-        remaining -= chunk;
-    }
-    out
+    Law::new(profile, spec).integrate::<false>(llc, owner, l2_warmth, dt_ns, None)
 }
 
-/// Bit-identical fast variant of [`exec_step`].
+/// [`exec_step`] evicting through the allocation-free
+/// [`LlcState::insert_lean`].
 ///
-/// Performs the same frozen-rate integration with the same internal
-/// chunk boundaries and the same floating-point operation order, but
-/// hoists the loop-invariant profile constants and routes LLC
-/// insertions through the allocation-free [`LlcState::insert_lean`].
-/// The engine's adaptive time-advance uses this path; the dense
-/// conformance oracle keeps using [`exec_step`]. The
-/// `lean_exec_matches_dense` property test asserts bitwise equality of
-/// outcomes and of the resulting LLC/warmth state.
+/// Same loop, same chunk boundaries, same floating-point operations;
+/// the `lean_exec_matches_dense` property test asserts bitwise
+/// equality of outcomes and of the resulting LLC/warmth state.
 pub fn exec_step_lean(
     profile: &MemProfile,
     spec: &CacheSpec,
@@ -165,68 +283,30 @@ pub fn exec_step_lean(
     l2_warmth: &mut f64,
     dt_ns: u64,
 ) -> ExecOutcome {
-    let mut out = ExecOutcome::default();
-    if dt_ns == 0 {
-        return out;
-    }
-    let wss = profile.wss_bytes as f64;
-    // Loop-invariant constants (pure functions of profile and spec).
-    let h2_cap = profile.l2_hit_warm(spec);
-    let deep = profile.deep_refs_per_instr;
-    let l2_target = (wss.min(spec.l2_bytes as f64)).max(1.0);
-    let line = spec.line_bytes as f64;
-    let mut remaining = dt_ns as f64;
-    let mut guard: u32 = 0;
-    while remaining > 0.0 {
-        guard += 1;
-        let h2 = h2_cap * l2_warmth.clamp(0.0, 1.0);
-        let resident = llc.occupancy(owner);
-        let h3 = if wss <= 0.0 {
-            1.0
-        } else {
-            (resident / wss).clamp(0.0, 1.0)
-        };
-        let llc_ref_per_instr = deep * (1.0 - h2);
-        let llc_miss_per_instr = llc_ref_per_instr * (1.0 - h3);
-        let ns_per_instr = profile.base_ns_per_instr
-            + deep
-                * (h2 * spec.l2_hit_ns
-                    + (1.0 - h2) * (h3 * spec.llc_hit_ns + (1.0 - h3) * spec.mem_ns));
+    Law::new(profile, spec).integrate::<true>(llc, owner, l2_warmth, dt_ns, None)
+}
 
-        let mut chunk = remaining;
-        let l2_fill_per_instr = deep * (1.0 - h2);
-        if guard < MAX_SUBSTEPS {
-            if llc_miss_per_instr > 1e-12 && wss > 0.0 {
-                let instr_cap = (wss * MAX_FILL_FRACTION / line) / llc_miss_per_instr;
-                chunk = chunk.min(instr_cap * ns_per_instr);
-            }
-            if l2_fill_per_instr > 1e-12 && *l2_warmth < 1.0 {
-                let instr_cap = (l2_target * MAX_FILL_FRACTION / line) / l2_fill_per_instr;
-                chunk = chunk.min(instr_cap * ns_per_instr);
-            }
-        }
-        chunk = chunk.max(remaining.min(1.0)).min(remaining);
-
-        let instr = chunk / ns_per_instr;
-        let refs = instr * llc_ref_per_instr;
-        let misses = instr * llc_miss_per_instr;
-        out.instructions += instr;
-        out.llc_refs += refs;
-        out.llc_misses += misses;
-
-        if refs > 0.0 && wss > 0.0 {
-            llc.touch_frac(owner, refs * line / wss);
-        }
-        if misses > 0.0 {
-            llc.insert_lean(owner, misses * line, wss);
-        }
-        if l2_fill_per_instr > 1e-12 {
-            let fill = instr * l2_fill_per_instr * line;
-            *l2_warmth = (*l2_warmth + fill / l2_target).min(1.0);
-        }
-        remaining -= chunk;
-    }
-    out
+/// [`exec_step_lean`] with a steady-rate fast path.
+///
+/// A memo hit answers the whole budget in O(1): one chunk at the
+/// cached fixpoint rate, the same freshness touch the integrator would
+/// make, no insertion (sub-epsilon miss traffic is reported and
+/// inserted as exactly zero) and no warmth write (saturated warmth is
+/// a fixed point of the fill update). On a miss the lean loop runs and
+/// detects the fixpoint from the rates it computes anyway — so
+/// non-steady execution pays only the memo probe, and the first steady
+/// sub-step answers the rest of the budget the same way and fills the
+/// memo for the next call.
+pub fn exec_step_cached(
+    profile: &MemProfile,
+    spec: &CacheSpec,
+    llc: &mut LlcState,
+    owner: usize,
+    l2_warmth: &mut f64,
+    dt_ns: u64,
+    cache: &mut RateCache,
+) -> ExecOutcome {
+    Law::new(profile, spec).integrate::<true>(llc, owner, l2_warmth, dt_ns, Some(cache))
 }
 
 #[cfg(test)]
@@ -449,23 +529,6 @@ mod tests {
         let out = exec_step(&p, &spec, &mut llc, 0, &mut w2, 0);
         assert_eq!(out, ExecOutcome::default());
         assert_eq!(w2, 0.5);
-    }
-
-    #[test]
-    fn outcome_merge_adds_fields() {
-        let mut a = ExecOutcome {
-            instructions: 1.0,
-            llc_refs: 2.0,
-            llc_misses: 3.0,
-        };
-        a.merge(&ExecOutcome {
-            instructions: 10.0,
-            llc_refs: 20.0,
-            llc_misses: 30.0,
-        });
-        assert_eq!(a.instructions, 11.0);
-        assert_eq!(a.llc_refs, 22.0);
-        assert_eq!(a.llc_misses, 33.0);
     }
 
     #[test]

@@ -29,9 +29,9 @@ pub mod profile;
 pub mod rate;
 pub mod spec;
 
-pub use exec::{exec_step, exec_step_lean, ExecOutcome};
+pub use exec::{exec_step, exec_step_cached, exec_step_lean, ExecOutcome};
 pub use llc::LlcState;
 pub use pmu::{PmuCounters, PmuSample};
 pub use profile::MemProfile;
-pub use rate::{exec_step_cached, steady_rate, RateCache, SteadyRate};
+pub use rate::{steady_rate, RateCache, SteadyRate};
 pub use spec::CacheSpec;

@@ -1,12 +1,12 @@
 //! Steady-state rate detection and caching.
 //!
-//! `exec_step` integrates the execution-speed law in sub-steps because
-//! the LLC footprint and L2 warmth *move* while a workload runs. Once
-//! both have converged — occupancy covers the working set (or the
-//! profile generates no deep traffic) and the private L2 is saturated
-//! — the law degenerates to a straight line: a constant ns/instr and
-//! no measurable cache traffic. At that **fixpoint** a whole span of
-//! any length is answered in O(1).
+//! The execution-speed law ([`crate::exec`]) is integrated in sub-steps
+//! because the LLC footprint and L2 warmth *move* while a workload
+//! runs. Once both have converged — occupancy covers the working set
+//! (or the profile generates no deep traffic) and the private L2 is
+//! saturated — the law degenerates to a straight line: a constant
+//! ns/instr and no measurable cache traffic. At that **fixpoint** a
+//! whole span of any length is answered in O(1).
 //!
 //! The fixpoint is *snapped*, not exact: the fill asymptotes never
 //! terminate in f64 (occupancy approaches the working-set size
@@ -23,6 +23,9 @@
 //! (≲1e-13 relative on rates, absolute bytes per span on occupancy) —
 //! orders of magnitude inside the 1e-6 tolerance the conformance
 //! oracle grants (`cached_matches_dense_at_fixpoint` pins the bound).
+//! The fixpoint test and the rate are the law's own
+//! ([`crate::exec`]), so [`steady_rate`] and the snap inside
+//! [`crate::exec_step_cached`] cannot disagree.
 //!
 //! [`RateCache`] memoizes the answer per owner. Because the rate is a
 //! *pure function* of the profile, the owner's own occupancy and its
@@ -36,12 +39,10 @@
 //! switch) resets the warmth bits, and a phase shift changes the
 //! profile bits. A stale hit is impossible by construction.
 
-use crate::exec::{ExecOutcome, MAX_SUBSTEPS};
+use crate::exec::Law;
 use crate::llc::LlcState;
 use crate::profile::MemProfile;
 use crate::spec::CacheSpec;
-
-use crate::exec::MAX_FILL_FRACTION;
 
 /// The linear execution rate at a zero-traffic fixpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,13 +55,13 @@ pub struct SteadyRate {
 
 /// Miss traffic below this rate (misses per instruction) is *snapped*
 /// to zero by the steady-state fast path. It matches the integrator's
-/// own chunk-sizing guard: below it `exec_step` no longer lets miss
+/// own chunk-sizing guard: below it the integrator no longer lets miss
 /// traffic bound a sub-step, so the fast path merely completes the
 /// approximation the integrator already makes.
 pub const NEGLIGIBLE_MISS_RATE: f64 = 1e-12;
 
 /// Returns the linear rate if `(profile, llc occupancy, l2_warmth)` is
-/// at the (snapped) zero-traffic fixpoint, i.e. an `exec_step` from
+/// at the (snapped) zero-traffic fixpoint, i.e. an execution step from
 /// this state
 ///
 /// * generates negligible LLC miss traffic (at most
@@ -71,7 +72,7 @@ pub const NEGLIGIBLE_MISS_RATE: f64 = 1e-12;
 ///   the fill update is the identity, or the fill rate is negligible
 ///   and skipped).
 ///
-/// Under those conditions the only state effect of an `exec_step` is a
+/// Under those conditions the only state effect of a step is a
 /// freshness touch plus sub-epsilon footprint creep; the fast path
 /// performs the touch, omits the creep, and the rate stays valid for
 /// as long as the occupancy and warmth bits stand still.
@@ -82,39 +83,15 @@ pub fn steady_rate(
     owner: usize,
     l2_warmth: f64,
 ) -> Option<SteadyRate> {
-    let wss = profile.wss_bytes as f64;
-    // Exactly the expressions of `exec_step`, so a cached rate carries
-    // the same bits the integrator would derive.
-    let h2_cap = profile.l2_hit_warm(spec);
-    let h2 = h2_cap * l2_warmth.clamp(0.0, 1.0);
-    let deep = profile.deep_refs_per_instr;
-    let resident = llc.occupancy(owner);
-    let h3 = if wss <= 0.0 {
-        1.0
-    } else {
-        (resident / wss).clamp(0.0, 1.0)
-    };
-    let llc_ref_per_instr = deep * (1.0 - h2);
-    let llc_miss_per_instr = llc_ref_per_instr * (1.0 - h3);
-    let l2_fill_per_instr = deep * (1.0 - h2);
-    let warmth_inert = l2_warmth >= 1.0 || l2_fill_per_instr <= 1e-12;
-    if llc_miss_per_instr > NEGLIGIBLE_MISS_RATE || !warmth_inert {
-        return None;
-    }
-    let ns_per_instr = profile.base_ns_per_instr
-        + deep
-            * (h2 * spec.l2_hit_ns
-                + (1.0 - h2) * (h3 * spec.llc_hit_ns + (1.0 - h3) * spec.mem_ns));
-    Some(SteadyRate {
-        ns_per_instr,
-        llc_ref_per_instr,
-    })
+    Law::new(profile, spec)
+        .at(llc.occupancy(owner), l2_warmth)
+        .steady(l2_warmth)
 }
 
 /// The exact state bits a steady rate was derived from.
-type RateKey = (u64, u64, u64, u64, u64);
+pub(crate) type RateKey = (u64, u64, u64, u64, u64);
 
-fn rate_key(profile: &MemProfile, l2_warmth: f64, resident: f64) -> RateKey {
+pub(crate) fn rate_key(profile: &MemProfile, l2_warmth: f64, resident: f64) -> RateKey {
     (
         profile.wss_bytes,
         profile.deep_refs_per_instr.to_bits(),
@@ -147,31 +124,14 @@ struct Entry {
 #[derive(Debug, Default)]
 pub struct RateCache {
     entries: Vec<[Option<Entry>; 2]>,
-    /// Fingerprint of the [`CacheSpec`] the entries were derived from.
-    /// Rates also depend on the spec; a simulation has exactly one, so
-    /// instead of widening every key the cache records the spec it
-    /// serves and flushes wholesale if a caller switches (making a
-    /// stale cross-spec hit impossible for any API user).
-    spec_print: u64,
+    /// The [`CacheSpec`] the entries were derived from. Rates also
+    /// depend on the spec; a simulation has exactly one, so instead of
+    /// widening every key the cache records the spec it serves and
+    /// flushes wholesale if a caller switches (making a stale
+    /// cross-spec hit impossible for any API user).
+    spec: Option<CacheSpec>,
     hits: u64,
     recomputes: u64,
-}
-
-fn spec_print(spec: &CacheSpec) -> u64 {
-    // FNV-1a over every field the rate law reads.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for bits in [
-        spec.l2_bytes,
-        spec.llc_bytes,
-        spec.line_bytes,
-        spec.l2_hit_ns.to_bits(),
-        spec.llc_hit_ns.to_bits(),
-        spec.mem_ns.to_bits(),
-    ] {
-        h = (h ^ bits).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // 0 marks "no spec recorded yet".
-    h.max(1)
 }
 
 impl RateCache {
@@ -179,9 +139,7 @@ impl RateCache {
     pub fn new(owners: usize) -> Self {
         RateCache {
             entries: vec![[None, None]; owners],
-            spec_print: 0,
-            hits: 0,
-            recomputes: 0,
+            ..RateCache::default()
         }
     }
 
@@ -193,11 +151,10 @@ impl RateCache {
     }
 
     fn ways(&mut self, owner: usize, spec: &CacheSpec) -> &mut [Option<Entry>; 2] {
-        let print = spec_print(spec);
-        if self.spec_print != print {
+        if self.spec != Some(*spec) {
             // A different cache geometry: every cached rate is void.
             self.entries.clear();
-            self.spec_print = print;
+            self.spec = Some(*spec);
         }
         if owner >= self.entries.len() {
             self.entries.resize(owner + 1, [None, None]);
@@ -206,7 +163,12 @@ impl RateCache {
     }
 
     /// Looks `key` up in the owner's ways, promoting a hit to way 0.
-    fn probe(&mut self, owner: usize, spec: &CacheSpec, key: RateKey) -> Option<SteadyRate> {
+    pub(crate) fn probe(
+        &mut self,
+        owner: usize,
+        spec: &CacheSpec,
+        key: RateKey,
+    ) -> Option<SteadyRate> {
         let ways = self.ways(owner, spec);
         for w in 0..2 {
             if let Some(e) = ways[w] {
@@ -224,7 +186,7 @@ impl RateCache {
     }
 
     /// Stores a freshly computed rate, displacing the colder way.
-    fn store(&mut self, owner: usize, spec: &CacheSpec, key: RateKey, rate: SteadyRate) {
+    pub(crate) fn store(&mut self, owner: usize, spec: &CacheSpec, key: RateKey, rate: SteadyRate) {
         let ways = self.ways(owner, spec);
         ways[1] = ways[0];
         ways[0] = Some(Entry { key, rate });
@@ -251,130 +213,10 @@ impl RateCache {
     }
 }
 
-/// [`crate::exec_step_lean`] with a steady-rate fast path.
-///
-/// A memo hit answers the whole budget in O(1): one chunk at the
-/// cached fixpoint rate, the same freshness touch the integrator would
-/// make, no insertion (sub-epsilon miss traffic is reported and
-/// inserted as exactly zero) and no warmth write (saturated warmth is
-/// a fixed point of the fill update). On a miss the integration runs
-/// with the lean loop's exact operation order, detecting the fixpoint
-/// from the rates it computes anyway — so non-steady execution pays
-/// only the memo probe, and the first steady sub-step snaps the rest
-/// of the budget and fills the memo for the next call.
-pub fn exec_step_cached(
-    profile: &MemProfile,
-    spec: &CacheSpec,
-    llc: &mut LlcState,
-    owner: usize,
-    l2_warmth: &mut f64,
-    dt_ns: u64,
-    cache: &mut RateCache,
-) -> ExecOutcome {
-    let mut out = ExecOutcome::default();
-    if dt_ns == 0 {
-        return out;
-    }
-    let wss = profile.wss_bytes as f64;
-    let line = spec.line_bytes as f64;
-    // Memo probe: pure-function key, so a hit cannot be stale.
-    {
-        let key = rate_key(profile, *l2_warmth, llc.occupancy(owner));
-        if let Some(rate) = cache.probe(owner, spec, key) {
-            let instr = dt_ns as f64 / rate.ns_per_instr;
-            let refs = instr * rate.llc_ref_per_instr;
-            if refs > 0.0 && wss > 0.0 {
-                llc.touch_frac(owner, refs * line / wss);
-            }
-            out.instructions = instr;
-            out.llc_refs = refs;
-            return out;
-        }
-    }
-    // The lean integration loop (identical operation order to
-    // `exec_step_lean`), plus the fixpoint snap: the moment a sub-step
-    // derives negligible traffic, the remainder of the budget is
-    // answered linearly and the rate is memoized.
-    let h2_cap = profile.l2_hit_warm(spec);
-    let deep = profile.deep_refs_per_instr;
-    let l2_target = (wss.min(spec.l2_bytes as f64)).max(1.0);
-    let mut remaining = dt_ns as f64;
-    let mut guard: u32 = 0;
-    while remaining > 0.0 {
-        guard += 1;
-        let h2 = h2_cap * l2_warmth.clamp(0.0, 1.0);
-        let resident = llc.occupancy(owner);
-        let h3 = if wss <= 0.0 {
-            1.0
-        } else {
-            (resident / wss).clamp(0.0, 1.0)
-        };
-        let llc_ref_per_instr = deep * (1.0 - h2);
-        let llc_miss_per_instr = llc_ref_per_instr * (1.0 - h3);
-        let ns_per_instr = profile.base_ns_per_instr
-            + deep
-                * (h2 * spec.l2_hit_ns
-                    + (1.0 - h2) * (h3 * spec.llc_hit_ns + (1.0 - h3) * spec.mem_ns));
-        let l2_fill_per_instr = deep * (1.0 - h2);
-
-        if llc_miss_per_instr <= NEGLIGIBLE_MISS_RATE
-            && (*l2_warmth >= 1.0 || l2_fill_per_instr <= 1e-12)
-        {
-            // Fixpoint reached: snap the rest of the budget.
-            let rate = SteadyRate {
-                ns_per_instr,
-                llc_ref_per_instr,
-            };
-            cache.store(owner, spec, rate_key(profile, *l2_warmth, resident), rate);
-            let instr = remaining / ns_per_instr;
-            let refs = instr * llc_ref_per_instr;
-            out.instructions += instr;
-            out.llc_refs += refs;
-            if refs > 0.0 && wss > 0.0 {
-                llc.touch_frac(owner, refs * line / wss);
-            }
-            return out;
-        }
-
-        let mut chunk = remaining;
-        if guard < MAX_SUBSTEPS {
-            if llc_miss_per_instr > 1e-12 && wss > 0.0 {
-                let instr_cap = (wss * MAX_FILL_FRACTION / line) / llc_miss_per_instr;
-                chunk = chunk.min(instr_cap * ns_per_instr);
-            }
-            if l2_fill_per_instr > 1e-12 && *l2_warmth < 1.0 {
-                let instr_cap = (l2_target * MAX_FILL_FRACTION / line) / l2_fill_per_instr;
-                chunk = chunk.min(instr_cap * ns_per_instr);
-            }
-        }
-        chunk = chunk.max(remaining.min(1.0)).min(remaining);
-
-        let instr = chunk / ns_per_instr;
-        let refs = instr * llc_ref_per_instr;
-        let misses = instr * llc_miss_per_instr;
-        out.instructions += instr;
-        out.llc_refs += refs;
-        out.llc_misses += misses;
-
-        if refs > 0.0 && wss > 0.0 {
-            llc.touch_frac(owner, refs * line / wss);
-        }
-        if misses > 0.0 {
-            llc.insert_lean(owner, misses * line, wss);
-        }
-        if l2_fill_per_instr > 1e-12 {
-            let fill = instr * l2_fill_per_instr * line;
-            *l2_warmth = (*l2_warmth + fill / l2_target).min(1.0);
-        }
-        remaining -= chunk;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{exec_step, exec_step_lean};
+    use crate::exec::{exec_step, exec_step_cached, exec_step_lean};
     use aql_sim::time::MS;
 
     fn spec() -> CacheSpec {
@@ -509,6 +351,64 @@ mod tests {
                 let (hits, _) = cache.stats();
                 assert_eq!(hits, 0, "a trasher must never hit the rate memo");
             }
+        }
+    }
+
+    #[test]
+    fn memo_hit_and_first_step_snap_agree_bitwise() {
+        // The cached integrator leaves a fixpoint state through one of
+        // two exits: a memo hit before the loop, or the snap at its
+        // first sub-step when the memo is cold. From the same state
+        // both must produce the same bits.
+        let spec = spec();
+        for p in [
+            MemProfile::llcf(&spec),
+            MemProfile::lolcf(&spec),
+            MemProfile::light(),
+        ] {
+            let mut llc0 = LlcState::new(spec.llc_bytes as f64, 2);
+            let w0 = warm_up(&p, &spec, &mut llc0, 0);
+            // A co-runner's fetch that fits the free capacity decays
+            // the owner's freshness below saturation, so both exits'
+            // freshness touches show in its bits; the occupancy, and
+            // with it the fixpoint, stays put.
+            let resident = llc0.occupancy(0);
+            llc0.insert(1, 1e6, 1e6);
+            assert_eq!(llc0.occupancy(0).to_bits(), resident.to_bits());
+            assert!(llc0.freshness(0) < 1.0);
+            assert!(steady_rate(&p, &spec, &llc0, 0, w0).is_some());
+
+            let (mut llc_snap, mut w_snap) = (llc0.clone(), w0);
+            let mut cold = RateCache::new(1);
+            let snap =
+                exec_step_cached(&p, &spec, &mut llc_snap, 0, &mut w_snap, 7 * MS, &mut cold);
+            assert_eq!(cold.stats(), (0, 1), "a cold memo must miss, then snap");
+
+            let (mut llc_hit, mut w_hit) = (llc0.clone(), w0);
+            let mut warm = RateCache::new(1);
+            assert!(warm.linear_rate(&p, &spec, &llc_hit, 0, w_hit).is_some());
+            let hit = exec_step_cached(&p, &spec, &mut llc_hit, 0, &mut w_hit, 7 * MS, &mut warm);
+            assert_eq!(warm.stats(), (1, 1), "a pre-warmed memo must hit");
+
+            let wss = p.wss_bytes;
+            assert_eq!(
+                snap.instructions.to_bits(),
+                hit.instructions.to_bits(),
+                "{wss}"
+            );
+            assert_eq!(snap.llc_refs.to_bits(), hit.llc_refs.to_bits(), "{wss}");
+            assert_eq!(snap.llc_misses.to_bits(), hit.llc_misses.to_bits(), "{wss}");
+            assert_eq!(w_snap.to_bits(), w_hit.to_bits(), "{wss}");
+            assert_eq!(
+                llc_snap.occupancy(0).to_bits(),
+                llc_hit.occupancy(0).to_bits(),
+                "{wss}"
+            );
+            assert_eq!(
+                llc_snap.freshness(0).to_bits(),
+                llc_hit.freshness(0).to_bits(),
+                "{wss}"
+            );
         }
     }
 

@@ -7,8 +7,8 @@
 //!   duration constants.
 //! * [`queue`] — a stable (FIFO-on-tie) event queue ([`EventQueue`]).
 //! * [`rng`] — seeded, reproducible random number helpers ([`SimRng`]).
-//! * [`stats`] — online statistics, sample sets with percentiles, and
-//!   time-weighted accumulators used by the measurement harness.
+//! * [`stats`] — online statistics and sample sets with percentiles,
+//!   used by the measurement harness.
 //! * [`trace`] — a bounded, cheap trace log for debugging simulations.
 //!
 //! Everything here is deterministic: two runs with the same seed and the
@@ -25,6 +25,6 @@ pub mod trace;
 
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{OnlineStats, SampleSet, TimeWeighted};
+pub use stats::{OnlineStats, SampleSet};
 pub use time::{SimTime, MS, NS, SEC, US};
 pub use trace::TraceLog;

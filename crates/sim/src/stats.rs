@@ -1,17 +1,13 @@
 //! Measurement primitives.
 //!
-//! Three accumulators cover everything the harness records:
+//! Two accumulators cover everything the harness records:
 //!
-//! * [`OnlineStats`] — streaming count/mean/variance (Welford), O(1)
-//!   memory, used for per-request latencies and lock hold times.
+//! * [`OnlineStats`] — streaming count/mean/min/max, O(1) memory, used
+//!   for per-request latencies and lock hold times.
 //! * [`SampleSet`] — keeps the raw samples for percentile queries
 //!   (p50/p95/p99) where the tail matters.
-//! * [`TimeWeighted`] — integrates a piecewise-constant value over
-//!   simulated time (e.g. run-queue length, LLC occupancy).
 
-use crate::time::SimTime;
-
-/// Streaming mean/variance accumulator (Welford's algorithm).
+/// Streaming mean/min/max accumulator (Welford's running mean).
 ///
 /// # Examples
 ///
@@ -24,13 +20,12 @@ use crate::time::SimTime;
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert_eq!(s.max(), Some(9.0));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -41,7 +36,6 @@ impl OnlineStats {
         OnlineStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -52,8 +46,6 @@ impl OnlineStats {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -72,20 +64,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn population_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Smallest observation (`None` if empty).
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -94,26 +72,6 @@ impl OnlineStats {
     /// Largest observation (`None` if empty).
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (Chan's parallel update).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -216,64 +174,15 @@ impl SampleSet {
     }
 }
 
-/// Integrates a piecewise-constant value over simulated time.
-///
-/// Call [`TimeWeighted::set`] whenever the value changes; the mean is
-/// the time-weighted average since construction.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    value: f64,
-    integral: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts integrating at `start` with initial `value`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            value,
-            integral: 0.0,
-            start,
-        }
-    }
-
-    /// Records a value change at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        debug_assert!(now >= self.last_time, "time went backwards");
-        self.integral += self.value * now.saturating_since(self.last_time) as f64;
-        self.last_time = now;
-        self.value = value;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let span = now.saturating_since(self.start);
-        if span == 0 {
-            return self.value;
-        }
-        let tail = self.value * now.saturating_since(self.last_time) as f64;
-        (self.integral + tail) / span as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::{SimTime, MS};
 
     #[test]
     fn online_stats_empty() {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
     }
@@ -283,43 +192,8 @@ mod tests {
         let mut s = OnlineStats::new();
         s.add(3.5);
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.min(), Some(3.5));
         assert_eq!(s.max(), Some(3.5));
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &xs[..37] {
-            left.add(x);
-        }
-        for &x in &xs[37..] {
-            right.add(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.population_variance() - whole.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_stats_merge_with_empty() {
-        let mut a = OnlineStats::new();
-        a.add(1.0);
-        let b = OnlineStats::new();
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let mut c = OnlineStats::new();
-        c.merge(&a);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.mean(), 1.0);
     }
 
     #[test]
@@ -368,32 +242,5 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.p50(), None);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime::from_ms(10), 1.0); // 0 for 10ms
-        tw.set(SimTime::from_ms(20), 3.0); // 1 for 10ms
-                                           // 3 for 10ms; mean over 30ms = (0*10 + 1*10 + 3*10)/30 = 4/3.
-        let m = tw.mean(SimTime::from_ms(30));
-        assert!((m - 4.0 / 3.0).abs() < 1e-12, "mean {m}");
-    }
-
-    #[test]
-    fn time_weighted_zero_span() {
-        let tw = TimeWeighted::new(SimTime::from_ms(5), 2.5);
-        assert_eq!(tw.mean(SimTime::from_ms(5)), 2.5);
-    }
-
-    #[test]
-    fn time_weighted_tail_counts() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 2.0);
-        tw.set(SimTime::from_ms(10), 4.0);
-        // No further set; the tail [10, 20) holds 4.0.
-        let m = tw.mean(SimTime::from_ms(20));
-        assert!((m - 3.0).abs() < 1e-12);
-        assert_eq!(tw.value(), 4.0);
-        let _ = MS; // keep the import used in all cfgs
     }
 }

@@ -50,11 +50,6 @@ impl TraceLog {
         }
     }
 
-    /// Whether emissions are recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a line; `f` is only evaluated when the log is enabled and
     /// not full, so formatting is free when tracing is off.
     pub fn emit<F: FnOnce() -> String>(&mut self, now: SimTime, f: F) {

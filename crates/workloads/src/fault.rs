@@ -23,8 +23,8 @@
 use core::fmt;
 
 use aql_hv::workload::{
-    CoalesceHint, CoalesceProbe, ExecContext, GuestWorkload, Horizon, LatencySummary, RunOutcome,
-    StopReason, TimerFire, WorkloadMetrics,
+    CoalesceHint, CoalesceProbe, ExecContext, GuestWorkload, Horizon, Integrator, LatencySummary,
+    RunOutcome, StopReason, TimerFire, WorkloadMetrics,
 };
 use aql_sim::time::{fmt_dur, parse_dur, SimTime};
 
@@ -167,7 +167,7 @@ impl GuestWorkload for FaultyWorkload {
                 // Underrunning one is precisely a broken linear
                 // contract, which the engine must recover from
                 // densely.
-                let coalesced = ctx.rate_cache.is_some();
+                let coalesced = matches!(ctx.integrator, Integrator::Cached(_));
                 let budget = if coalesced { budget_ns / 2 } else { budget_ns };
                 let out = self.inner.run(slot, budget, ctx);
                 self.consumed_ns += out.used_ns;

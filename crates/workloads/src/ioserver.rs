@@ -555,8 +555,7 @@ mod tests {
                 rng: &mut rng,
                 owner: 0,
                 running_slots: &[true],
-                lean: false,
-                rate_cache: None,
+                integrator: aql_hv::workload::Integrator::Dense,
             };
             srv.run(0, budget, &mut ctx)
         };

@@ -7,15 +7,14 @@
 //! * [`memwalk`] — CPU-burn workloads parameterised by working-set
 //!   size: `LLCF` (fits LLC), `LoLCF` (fits L2), `LLCO` (overflows),
 //!   standing in for the linked-list walker of \[27\] and the SPEC
-//!   CPU2006 programs.
+//!   CPU2006 programs; a phased walker changes class over time,
+//!   exercising the dynamic part of vTRS.
 //! * [`ioserver`] — an open-loop request server (SPECweb2009 /
 //!   SPECmail2009 / Wordpress): Poisson arrivals, per-request service
 //!   bursts, optional CGI-style heavy bursts that defeat Xen's BOOST.
 //! * [`spinjob`] — a multi-threaded job synchronising over a ticket
 //!   spin-lock (kernbench / PARSEC), exhibiting lock-holder and
 //!   lock-waiter preemption.
-//! * [`phased`] — a workload that changes class over time, exercising
-//!   the dynamic part of vTRS.
 //! * [`idle`] — a permanently blocked VM, for padding scenarios.
 //! * [`catalog`] — named SPEC CPU2006 / PARSEC / SPECweb / SPECmail
 //!   models with the ground-truth types of the paper's Table 3.
@@ -34,7 +33,6 @@ pub mod fault;
 pub mod idle;
 pub mod ioserver;
 pub mod memwalk;
-pub mod phased;
 pub mod spec;
 pub mod spinjob;
 
@@ -42,7 +40,6 @@ pub use catalog::{all_apps, build_app_vm, find_app, AppEntry};
 pub use fault::{FaultSpec, FaultyWorkload};
 pub use idle::IdleWorkload;
 pub use ioserver::{IoServer, IoServerCfg};
-pub use memwalk::MemWalk;
-pub use phased::PhasedMemWalk;
+pub use memwalk::{MemWalk, Phase};
 pub use spec::{IoRegime, WorkloadSpec};
 pub use spinjob::{SpinJob, SpinJobCfg};

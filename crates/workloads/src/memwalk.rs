@@ -1,4 +1,4 @@
-//! CPU-burn memory walkers.
+//! The CPU-burn memory walker.
 //!
 //! [`MemWalk`] models the linked-list parser of the paper's
 //! calibration \[27\]: a single-threaded loop re-referencing a working
@@ -6,6 +6,14 @@
 //! `LoLCF` (WSS ≤ L2), `LLCF` (WSS ≤ LLC) or `LLCO` (WSS > LLC). The
 //! workload never blocks or yields: it is a pure CPU burner whose
 //! performance metric is retired instructions.
+//!
+//! The paper argues a vCPU's type is not fixed: "several different
+//! thread types can be scheduled by the guest OS on the same vCPU"
+//! (§1). A walker is therefore a cycle of [`Phase`]s, each holding a
+//! memory profile for some CPU time, so vTRS must re-classify a
+//! [`MemWalk::phased`] walker online; the recognition tests and the
+//! `vtrs_live` example use one. A plain walker is one phase that never
+//! ends.
 
 use aql_hv::workload::{
     CoalesceHint, CoalesceProbe, ExecContext, GuestWorkload, Horizon, RunOutcome, TimerFire,
@@ -14,7 +22,16 @@ use aql_hv::workload::{
 use aql_mem::{CacheSpec, MemProfile};
 use aql_sim::time::SimTime;
 
-/// A single-vCPU memory-walking workload.
+/// One phase: a memory profile held for a CPU-time duration.
+#[derive(Debug, Clone, Copy)]
+pub struct Phase {
+    /// CPU time the phase lasts (ns).
+    pub duration_ns: u64,
+    /// Memory behaviour during the phase.
+    pub profile: MemProfile,
+}
+
+/// A single-vCPU memory-walking workload cycling through phases.
 ///
 /// # Examples
 ///
@@ -29,17 +46,40 @@ use aql_sim::time::SimTime;
 #[derive(Debug, Clone)]
 pub struct MemWalk {
     name: String,
-    profile: MemProfile,
+    phases: Vec<Phase>,
+    current: usize,
+    left_in_phase: u64,
     instructions: f64,
+    switches: u64,
 }
 
 impl MemWalk {
-    /// A walker with an explicit memory profile.
+    /// A walker holding one memory profile for good: a single phase of
+    /// `u64::MAX` ns (some 584 years of CPU time), longer than any run.
     pub fn new(name: &str, profile: MemProfile) -> Self {
+        let forever = Phase {
+            duration_ns: u64::MAX,
+            profile,
+        };
+        MemWalk::phased(name, vec![forever])
+    }
+
+    /// A walker cycling through `phases` as it consumes CPU; `phases`
+    /// must be non-empty.
+    pub fn phased(name: &str, phases: Vec<Phase>) -> Self {
+        assert!(!phases.is_empty(), "need at least one phase");
+        assert!(
+            phases.iter().all(|p| p.duration_ns > 0),
+            "phases must have positive duration"
+        );
+        let left = phases[0].duration_ns;
         MemWalk {
             name: name.to_string(),
-            profile,
+            phases,
+            current: 0,
+            left_in_phase: left,
             instructions: 0.0,
+            switches: 0,
         }
     }
 
@@ -58,14 +98,19 @@ impl MemWalk {
         MemWalk::new(name, MemProfile::llco(spec))
     }
 
-    /// The walker's memory profile.
+    /// The memory profile of the phase currently executing.
     pub fn profile(&self) -> &MemProfile {
-        &self.profile
+        &self.phases[self.current].profile
     }
 
-    /// Instructions retired so far.
-    pub fn instructions(&self) -> f64 {
-        self.instructions
+    /// Index of the phase currently executing.
+    pub fn current_phase(&self) -> usize {
+        self.current
+    }
+
+    /// Number of phase switches so far.
+    pub fn switches(&self) -> u64 {
+        self.switches
     }
 }
 
@@ -80,8 +125,20 @@ impl GuestWorkload for MemWalk {
 
     fn run(&mut self, slot: usize, budget_ns: u64, ctx: &mut ExecContext<'_>) -> RunOutcome {
         debug_assert_eq!(slot, 0);
-        let out = ctx.exec_mem(&self.profile, budget_ns);
-        self.instructions += out.instructions;
+        let mut used = 0;
+        while used < budget_ns {
+            let dt = (budget_ns - used).min(self.left_in_phase);
+            let profile = self.phases[self.current].profile;
+            let out = ctx.exec_mem(&profile, dt);
+            self.instructions += out.instructions;
+            used += dt;
+            self.left_in_phase -= dt;
+            if self.left_in_phase == 0 {
+                self.current = (self.current + 1) % self.phases.len();
+                self.left_in_phase = self.phases[self.current].duration_ns;
+                self.switches += 1;
+            }
+        }
         RunOutcome::ran_all(budget_ns)
     }
 
@@ -90,17 +147,22 @@ impl GuestWorkload for MemWalk {
     }
 
     fn horizon(&self, _slot: usize, _now: SimTime) -> Horizon {
-        // A pure CPU burner: it never blocks or yields, so the engine
-        // may fast-forward across it without limit.
+        // A pure CPU burner: phase shifts happen inside `run` and never
+        // release the pCPU, so the engine may fast-forward across it
+        // without limit.
         Horizon::Never
     }
 
     fn coalesce(&self, _slot: usize, probe: &mut CoalesceProbe<'_>) -> CoalesceHint {
-        // A walker is pure-rate whenever its working set is resident
-        // and the L2 is warm: no misses, no shared-state mutation, no
-        // RNG. The profile never changes, so the window is unbounded.
-        if probe.linear_rate(&self.profile) {
-            CoalesceHint::LinearFor(u64::MAX)
+        // Pure-rate whenever the current phase's working set is
+        // resident and the L2 is warm: no misses, no shared-state
+        // mutation, no RNG. The next phase has a different profile (a
+        // different rate, possibly cold), so the window ends at the
+        // phase boundary — the engine coalesces up to it and replays
+        // the grid across the shift, which also re-keys the rate cache
+        // on the new profile bits.
+        if probe.linear_rate(self.profile()) {
+            CoalesceHint::LinearFor(self.left_in_phase)
         } else {
             CoalesceHint::No
         }
@@ -212,5 +274,76 @@ mod tests {
             long > 1.15 * short,
             "a long quantum should help the LLCF victim: 90ms={long}, 1ms={short}"
         );
+    }
+
+    #[test]
+    fn phases_cycle_with_cpu_time() {
+        let spec = CacheSpec::i7_3770();
+        let w = MemWalk::phased(
+            "p",
+            vec![
+                Phase {
+                    duration_ns: 100 * MS,
+                    profile: MemProfile::lolcf(&spec),
+                },
+                Phase {
+                    duration_ns: 100 * MS,
+                    profile: MemProfile::llco(&spec),
+                },
+            ],
+        );
+        let mut sim =
+            SimulationBuilder::new(MachineSpec::custom("1core", 1, 1, CacheSpec::i7_3770()))
+                .vm(VmSpec::single("p"), Box::new(w))
+                .build();
+        sim.run_for(SEC);
+        // 1 s of CPU over 200 ms cycles → about 5 switches per cycle
+        // boundary pair, i.e. ~5 cycles → ~9-10 switches.
+        let report = sim.report();
+        assert!(report.vms[0].cpu_ns() > 900 * MS);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one phase")]
+    fn empty_phases_rejected() {
+        let _ = MemWalk::phased("bad", vec![]);
+    }
+
+    #[test]
+    fn switch_counter_advances() {
+        let spec = CacheSpec::i7_3770();
+        let phases = vec![
+            Phase {
+                duration_ns: 10 * MS,
+                profile: MemProfile::lolcf(&spec),
+            },
+            Phase {
+                duration_ns: 10 * MS,
+                profile: MemProfile::llcf(&spec),
+            },
+        ];
+        let mut w = MemWalk::phased("p", phases);
+        assert_eq!(w.current_phase(), 0);
+        // Drive it directly through a fake context.
+        let mut llc = aql_mem::LlcState::new(spec.llc_bytes as f64, 1);
+        let mut pmu = aql_mem::PmuCounters::new();
+        let mut warmth = 0.0;
+        let mut rng = aql_sim::rng::SimRng::seed_from(1);
+        let running = vec![true];
+        let mut ctx = aql_hv::workload::ExecContext {
+            now: SimTime::ZERO,
+            spec: &spec,
+            llc: &mut llc,
+            pmu: &mut pmu,
+            l2_warmth: &mut warmth,
+            rng: &mut rng,
+            owner: 0,
+            running_slots: &running,
+            integrator: aql_hv::workload::Integrator::Dense,
+        };
+        let out = w.run(0, 25 * MS, &mut ctx);
+        assert_eq!(out.used_ns, 25 * MS);
+        assert_eq!(w.switches(), 2);
+        assert_eq!(w.current_phase(), 0);
     }
 }

@@ -18,7 +18,7 @@
 //! | `spin/kernbench/<threads>[/<flags>]` | [`SpinJob`], kernbench/PARSEC preset; flags `fifo`, `ple` or `fifo+ple` select the lock fabric and PLE yield |
 //! | `walk/llcf`, `walk/lolcf`, `walk/llco` | [`MemWalk`] of that class |
 //! | `app/<name>` | the named Table 3 catalog model |
-//! | `phased/shift/<phase_ms>` | [`PhasedMemWalk`] cycling LoLCF → LLCF → LLCO |
+//! | `phased/shift/<phase_ms>` | [`MemWalk::phased`] cycling LoLCF → LLCF → LLCO |
 //! | `idle` | [`IdleWorkload`] (scenario padding) |
 
 use core::fmt;
@@ -32,8 +32,7 @@ use aql_sim::time::MS;
 use crate::catalog::{build_app_vm, find_app};
 use crate::idle::IdleWorkload;
 use crate::ioserver::{IoServer, IoServerCfg};
-use crate::memwalk::MemWalk;
-use crate::phased::{Phase, PhasedMemWalk};
+use crate::memwalk::{MemWalk, Phase};
 use crate::spinjob::{SpinJob, SpinJobCfg};
 
 /// The IO-server regimes a spec can name (§3.2; Fig. 2a/2b, Fig. 3).
@@ -277,7 +276,7 @@ impl WorkloadSpec {
                         profile: MemProfile::llco(cache),
                     },
                 ];
-                (single(), Box::new(PhasedMemWalk::new(vm_name, phases)))
+                (single(), Box::new(MemWalk::phased(vm_name, phases)))
             }
             WorkloadSpec::Idle => (single(), Box::new(IdleWorkload::new(vm_name, 1))),
         }

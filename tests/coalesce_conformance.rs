@@ -29,9 +29,8 @@ use aql_sched::hv::{MachineSpec, SimulationBuilder, TimeMode, VmSpec};
 use aql_sched::mem::{CacheSpec, MemProfile};
 use aql_sched::scenarios::{catalog, policy_applicable, policy_for, run_seeded_in};
 use aql_sched::sim::time::{MS, SEC};
-use aql_sched::workloads::phased::Phase;
 use aql_sched::workloads::{
-    IdleWorkload, IoServer, IoServerCfg, MemWalk, PhasedMemWalk, SpinJob, SpinJobCfg,
+    IdleWorkload, IoServer, IoServerCfg, MemWalk, Phase, SpinJob, SpinJobCfg,
 };
 use proptest::prelude::*;
 
@@ -111,7 +110,7 @@ fn random_vm(
             ];
             (
                 VmSpec::single(&name),
-                Box::new(PhasedMemWalk::new(&name, phases)),
+                Box::new(MemWalk::phased(&name, phases)),
             )
         }
         4 => (
@@ -237,10 +236,7 @@ fn phase_shift_forces_rate_recomputation() {
     ];
     let mut sim = SimulationBuilder::new(MachineSpec::custom("m", 1, 1, cache))
         .time_mode(TimeMode::Adaptive)
-        .vm(
-            VmSpec::single("p"),
-            Box::new(PhasedMemWalk::new("p", phases)),
-        )
+        .vm(VmSpec::single("p"), Box::new(MemWalk::phased("p", phases)))
         .build();
     sim.run_for(400 * MS); // ~5 full cycles, ~10 shifts
     let (hits, recomputes) = sim.rate_cache_stats();

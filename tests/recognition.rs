@@ -6,8 +6,7 @@ use aql_sched::hv::apptype::VcpuType;
 use aql_sched::hv::{MachineSpec, SimulationBuilder, VmSpec};
 use aql_sched::mem::{CacheSpec, MemProfile};
 use aql_sched::sim::time::{MS, SEC};
-use aql_sched::workloads::phased::Phase;
-use aql_sched::workloads::{build_app_vm, find_app, MemWalk, PhasedMemWalk};
+use aql_sched::workloads::{build_app_vm, find_app, MemWalk, Phase};
 
 /// Runs one catalog app consolidated (its vCPUs plus three co-runner
 /// walkers per pCPU) under AQL and returns the detected type of the
@@ -72,7 +71,7 @@ fn cache_classes_are_recognised() {
 fn type_changes_are_followed_online() {
     let cache = CacheSpec::i7_3770();
     let machine = MachineSpec::custom("dyn", 1, 1, cache);
-    let phased = PhasedMemWalk::new(
+    let phased = MemWalk::phased(
         "shape-shifter",
         vec![
             Phase {
