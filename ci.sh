@@ -26,6 +26,23 @@ step "benchmark build: perfbench still compiles against the crates it calls"
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked \
     --manifest-path perfbench/Cargo.toml
 
+step "benchmark output check: every contended, io and quiescent cell matches its committed dense reference"
+# One short timed pass per sweep workload at seed 0 (~12 s in all):
+# perfbench compares each cell's report with reference/<w>.seed0 under
+# the tolerance oracle, so a change that moves a benchmark result
+# fails here instead of only when the benchmark runs.
+for w in contended io quiescent; do
+    .bench_build/release/perfbench --workload "$w" --seed 0 --seconds 1 --trace 0 \
+        2> /dev/null | tail -n 1 | python3 -c '
+import json, sys
+w = sys.argv[1]
+d = json.loads(sys.stdin.read())
+print("  %s: correct=%s, failed %s of %s" % (w, d["correct"], d["failed"], d["attempted"]))
+if d["correct"] is not True or d["failed"] != 0:
+    sys.exit(f"perfbench output check failed on {w}")
+' "$w"
+done
+
 step "cargo test -q"
 cargo test -q --workspace
 

@@ -82,6 +82,7 @@ fn bench_overhead(c: &mut Criterion) {
                         _ => Prio::Over,
                     },
                     VcpuId(i),
+                    false,
                 );
             }
             let mut n = 0;

@@ -130,13 +130,6 @@ struct Scratch {
     /// moves. Purely an efficiency memo — which advance mode runs is
     /// invisible in the results.
     failed_plan_gen: Option<u64>,
-    /// Per-pool "any stealable queued work" flags for the adaptive
-    /// planner and generic sub-step (see
-    /// `Simulation::refresh_pool_stealable`).
-    pool_stealable: Vec<bool>,
-    /// `sched_gen` the flags were computed at; they stay exact until
-    /// the generation moves (every enqueue/dispatch bumps it).
-    pool_stealable_gen: Option<u64>,
 }
 
 /// A complete simulation run: hypervisor + workloads + policy + clock.
@@ -283,11 +276,23 @@ impl Simulation {
     /// execution, and the steady-state report. Every example, scenario
     /// and figure uses this exact sequence, so reports are comparable
     /// across all of them.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when the report breaks an engine invariant
+    /// (time conservation, busy time within the window, finite
+    /// metrics): the checks [`Simulation::run_measured_budgeted`]
+    /// returns as an error.
     pub fn run_measured(&mut self, warmup_ns: u64, measure_ns: u64) -> crate::RunReport {
         self.run_for(warmup_ns);
         self.reset_measurements();
         self.run_for(measure_ns);
-        self.report()
+        let report = self.report();
+        #[cfg(debug_assertions)]
+        if let Err(e) = self.check_report_invariants(&report) {
+            panic!("{e}");
+        }
+        report
     }
 
     /// Clears all measurement state (workload metrics, CPU accounting,

@@ -1,5 +1,8 @@
 //! Load balancing within pools: idle stealing and the periodic
-//! run-queue rebalance.
+//! run-queue rebalance. Both rank peers by the O(1)
+//! [`RunQueue::movable_len`](crate::sched::RunQueue::movable_len)
+//! counts and move work through [`Hypervisor::steal_from`], which keeps
+//! the per-pool sums `idle_can_dispatch` reads in step.
 
 use crate::ids::{PcpuId, VcpuId};
 use crate::vm::Prio;
@@ -8,42 +11,25 @@ use super::Simulation;
 
 impl Simulation {
     /// Steals a queued vCPU for an idle pCPU from the most loaded
-    /// pool peer (deterministic order: longest queue, lowest index).
-    /// Returns the stolen entry and the victim pCPU.
+    /// pool peer (deterministic order: most movable work, lowest
+    /// index). Returns the stolen entry and the victim pCPU.
     pub(super) fn steal_from_peer(&mut self, pcpu: usize) -> Option<((VcpuId, Prio), PcpuId)> {
         let pool = self.hv.pcpus[pcpu].pool;
-        // Pinned vCPUs must never move; on machines with pins the
-        // queue scans take the predicate-filtered variants instead of
-        // the O(1) counters. Destructured so the predicate (borrowing
-        // `vcpus`) can run while `pcpus` queues are mutated.
-        let crate::engine::Hypervisor {
-            vcpus,
-            pcpus,
-            pools,
-            pinned_vcpus,
-            ..
-        } = &mut self.hv;
-        let has_pins = *pinned_vcpus > 0;
-        let movable = |v: VcpuId| vcpus[v.index()].pinned.is_none();
-        // Pick the peer with the most *stealable* (non-BOOST) work,
-        // lowest index on ties. Ranking by stealable length rather
-        // than total length matters: a queue of only BOOST vCPUs
-        // yields nothing, and choosing it would leave this pCPU idle
-        // while another peer holds stealable work. The scan avoids
-        // collecting a peer list: it runs on every idle dispatch
-        // attempt, so it must not allocate.
+        // Pick the peer with the most *movable* (non-BOOST, unpinned)
+        // work, lowest index on ties. Ranking by movable length rather
+        // than total length matters: a queue of only BOOST or pinned
+        // vCPUs yields nothing, and choosing it would leave this pCPU
+        // idle while another peer holds stealable work. The scan
+        // avoids collecting a peer list: it runs on every idle
+        // dispatch, so it must not allocate.
         let mut victim: Option<usize> = None;
         let mut best_key = (0usize, 0usize);
-        for p in &pools[pool.index()].pcpus {
+        for p in &self.hv.pools[pool.index()].pcpus {
             let p = p.index();
             if p == pcpu {
                 continue;
             }
-            let len = if has_pins {
-                pcpus[p].queue.stealable_len_where(movable)
-            } else {
-                pcpus[p].queue.stealable_len()
-            };
+            let len = self.hv.pcpus[p].queue.movable_len();
             if len == 0 {
                 continue;
             }
@@ -54,12 +40,10 @@ impl Simulation {
             }
         }
         let victim = victim?;
-        let entry = if has_pins {
-            pcpus[victim].queue.steal_tail_where(movable)
-        } else {
-            pcpus[victim].queue.steal_tail()
-        }
-        .expect("victim has stealable work");
+        let entry = self
+            .hv
+            .steal_from(victim)
+            .expect("victim has stealable work");
         Some((entry, PcpuId(victim)))
     }
 
@@ -71,7 +55,6 @@ impl Simulation {
         // The pCPU list is collected per pool because queues are
         // mutated inside the loop; the buffer is reused across calls.
         let mut pcpus = std::mem::take(&mut self.scratch.pool_pcpus);
-        let has_pins = self.hv.pinned_vcpus > 0;
         for pool_idx in 0..self.hv.pools.len() {
             pcpus.clear();
             pcpus.extend(self.hv.pools[pool_idx].pcpus.iter().map(|p| p.index()));
@@ -82,27 +65,17 @@ impl Simulation {
                 let load = |p: &usize| {
                     self.hv.pcpus[*p].queue.len() + usize::from(self.hv.pcpus[*p].running.is_some())
                 };
-                let stealable = |p: &usize| {
-                    if has_pins {
-                        let vcpus = &self.hv.vcpus;
-                        self.hv.pcpus[*p]
-                            .queue
-                            .stealable_len_where(|v| vcpus[v.index()].pinned.is_none())
-                    } else {
-                        self.hv.pcpus[*p].queue.stealable_len()
-                    }
-                };
                 // The donor is the most loaded peer *among those with
                 // movable work*: an unfiltered pick would let a
                 // BOOST-only queue (never stolen from) win and abort
                 // the round while real imbalance persists; ranking by
-                // stealable length alone would let a lightly-loaded
+                // movable length alone would let a lightly-loaded
                 // peer shadow an overloaded one on ties. With no BOOST
-                // queued anywhere this reduces to the plain
-                // most-loaded pick.
+                // or pinned vCPU queued anywhere this reduces to the
+                // plain most-loaded pick.
                 let Some(&max_p) = pcpus
                     .iter()
-                    .filter(|p| stealable(p) > 0)
+                    .filter(|p| self.hv.pcpus[**p].queue.movable_len() > 0)
                     .max_by_key(|p| (load(p), usize::MAX - **p))
                 else {
                     break;
@@ -114,16 +87,10 @@ impl Simulation {
                 if load(&max_p) <= load(&min_p) + 1 {
                     break;
                 }
-                let (vid, prio) = if has_pins {
-                    let vcpus = &self.hv.vcpus;
-                    let movable = |v: VcpuId| vcpus[v.index()].pinned.is_none();
-                    self.hv.pcpus[max_p].queue.steal_tail_where(movable)
-                } else {
-                    self.hv.pcpus[max_p].queue.steal_tail()
-                }
-                .expect("donor has stealable work");
+                let (vid, prio) = self.hv.steal_from(max_p).expect("donor has stealable work");
                 self.hv.vcpus[vid.index()].affine_pcpu = PcpuId(min_p);
-                self.hv.pcpus[min_p].queue.push_tail(prio, vid);
+                // A steal never takes a pinned vCPU.
+                self.hv.with_queue(min_p, |q| q.push_tail(prio, vid, false));
             }
         }
         self.scratch.pool_pcpus = pcpus;

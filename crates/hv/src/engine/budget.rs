@@ -1,12 +1,13 @@
 //! Run budgets and structured failure sentinels.
 //!
-//! [`Simulation::run_measured`] assumes a healthy workload: it always
-//! returns a report, even if a degenerate guest starves its vCPU for
-//! the whole run or a corrupted metric poisons the summary. This module
-//! adds the budgeted variant the experiment harness uses for fault
-//! isolation: [`Simulation::run_measured_budgeted`] arms the sentinels
-//! and returns `Err(`[`EngineError`]`)` the moment one trips, instead
-//! of a silently-wrong report.
+//! [`Simulation::run_measured`] assumes a healthy workload: it returns
+//! a report even if a degenerate guest starves its vCPU for the whole
+//! run, and only debug builds check the report invariants (they panic
+//! when a corrupted metric poisons the summary). This module adds the
+//! budgeted variant the experiment harness uses for fault isolation:
+//! [`Simulation::run_measured_budgeted`] arms the sentinels and returns
+//! `Err(`[`EngineError`]`)` the moment one trips, instead of a
+//! silently-wrong report.
 //!
 //! Three sentinels cover the failure modes a cell can hit:
 //!
@@ -233,7 +234,7 @@ impl Simulation {
     /// The post-run report checks: conservation of CPU accounting
     /// (every vCPU nanosecond lands on exactly one pCPU), the per-pCPU
     /// busy-time bound, and finiteness of every f64 metric.
-    fn check_report_invariants(&self, r: &RunReport) -> Result<(), EngineError> {
+    pub(super) fn check_report_invariants(&self, r: &RunReport) -> Result<(), EngineError> {
         let violation = |what: String| Err(EngineError::InvariantViolation { what });
         let vcpu_total: u64 = r
             .vms

@@ -52,7 +52,9 @@ pub struct DispatchDecision {
 }
 
 impl Simulation {
-    /// Applies pending preemptions and fills idle pCPUs.
+    /// Applies pending preemptions and fills idle pCPUs that can
+    /// dispatch (a failed attempt changes no state, so the others are
+    /// skipped in O(1)).
     pub(super) fn resched_all(&mut self) {
         for pi in 0..self.hv.pcpus.len() {
             if self.hv.pcpus[pi].force_resched {
@@ -83,13 +85,16 @@ impl Simulation {
                         // Preempt first (the victim head-requeues), then
                         // put the due vCPU in front so it runs next.
                         self.preempt(pi, rv, false);
-                        let prio = self.hv.vcpus[due.index()].prio;
-                        self.hv.pcpus[pi].queue.remove(due);
-                        self.hv.pcpus[pi].queue.push_head(prio, due);
+                        let v = &self.hv.vcpus[due.index()];
+                        let (prio, pinned) = (v.prio, v.pinned.is_some());
+                        self.hv.with_queue(pi, |q| {
+                            q.remove(due);
+                            q.push_head(prio, due, pinned);
+                        });
                     }
                 }
             }
-            if self.hv.pcpus[pi].running.is_none() {
+            if self.hv.pcpus[pi].running.is_none() && self.hv.idle_can_dispatch(pi) {
                 self.try_dispatch(pi, self.now);
             }
         }
@@ -177,7 +182,7 @@ impl Simulation {
     /// decision must be passed to `apply_decision`.
     fn next_decision(&mut self, pcpu: usize) -> Option<DispatchDecision> {
         debug_assert!(self.hv.pcpus[pcpu].running.is_none());
-        let ((vid, prio), source) = match self.hv.pcpus[pcpu].queue.pop_best() {
+        let ((vid, prio), source) = match self.hv.with_queue(pcpu, |q| q.pop_best()) {
             Some(entry) => (entry, DispatchSource::LocalQueue),
             None => {
                 let (entry, victim) = self.steal_from_peer(pcpu)?;

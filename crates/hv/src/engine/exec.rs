@@ -17,23 +17,26 @@ use crate::ids::{PcpuId, VcpuId};
 use crate::workload::{ExecContext, Integrator, StopReason};
 
 impl Simulation {
-    /// Advances every pCPU by `dt` nanoseconds of wall time.
+    /// Advances every pCPU by `dt` nanoseconds of wall time: the one
+    /// generic sub-step of both time modes. An idle pCPU that cannot
+    /// dispatch (`Hypervisor::idle_can_dispatch`) is skipped in O(1),
+    /// since its dispatch attempt would fail without a state change.
+    /// The counts it reads are exact at every pCPU, so a block or
+    /// yield earlier in the same sub-step is seen.
     pub(super) fn advance_all(&mut self, dt: u64) {
         for pi in 0..self.hv.pcpus.len() {
-            self.advance_pcpu(pi, dt);
+            if self.hv.pcpus[pi].running.is_some() || self.hv.idle_can_dispatch(pi) {
+                self.advance_pcpu_from(pi, 0, dt, 0);
+            }
         }
     }
 
-    /// Advances one pCPU by `dt`, running (possibly several) vCPUs and
-    /// enforcing quantum boundaries at nanosecond precision.
-    fn advance_pcpu(&mut self, pcpu: usize, dt: u64) {
-        self.advance_pcpu_from(pcpu, 0, dt, 0);
-    }
-
-    /// Advances one pCPU across `off..dt`, with `spins` zero-progress
-    /// dispatches already observed. `advance_pcpu` enters at
-    /// `(off = 0, spins = 0)`; the adaptive fast path re-enters here to
-    /// finish a sub-step after a workload returned early.
+    /// Advances one pCPU across `off..dt`, running (possibly several)
+    /// vCPUs and enforcing quantum boundaries at nanosecond precision,
+    /// with `spins` zero-progress dispatches already observed.
+    /// `advance_all` enters at `(off = 0, spins = 0)`; the adaptive fast
+    /// path re-enters here to finish a sub-step after a workload
+    /// returned early.
     pub(super) fn advance_pcpu_from(&mut self, pcpu: usize, mut off: u64, dt: u64, spins: u32) {
         // Defensive bound: a pCPU cannot context-switch more often than
         // once per zero-progress dispatch more than a few times.

@@ -2,7 +2,7 @@
 //!
 //! Between events the dense loop visits every sub-step grid point and
 //! re-derives the full scheduler state — event-queue peeks, pending
-//! preemptions, kick deadlines, idle-pCPU dispatch and steal scans —
+//! preemptions, kick deadlines, idle-pCPU dispatch checks —
 //! even across long spans where provably none of it can matter. This
 //! module plans those spans explicitly and leaps over the dead work.
 //!
@@ -27,8 +27,11 @@
 //! instant. Nothing enqueues inside the span, but work queued before it
 //! (a vCPU a later pCPU preempted in `resched_all`) lets an idle pCPU
 //! steal at dense's next grid point, so a span is planned only when no
-//! idle pCPU has local or stealable pool work: dense's dispatch attempt
-//! then fails without a state change, and skipping idle pCPUs is exact.
+//! idle pCPU can dispatch: none has local work or movable work in its
+//! pool (`Hypervisor::idle_can_dispatch`, an O(1) read of exact
+//! run-queue counts). Such a pCPU's dispatch attempt fails without a
+//! state change, so skipping it is exact; both time modes skip it the
+//! same way in `resched_all` and `advance_all`.
 //!
 //! # The conformance contract against the dense oracle
 //!
@@ -159,13 +162,11 @@ impl Simulation {
                 }
                 self.scratch.failed_plan_gen = Some(self.sched_gen);
             }
-            // 4. Not quiescent for long enough: one generic sub-step.
-            // `advance_all_adaptive` advances the same state the dense
-            // `advance_all` would — it only skips idle pCPUs whose
-            // dispatch attempt provably fails.
+            // 4. Not quiescent for long enough: one generic sub-step,
+            // exactly as the dense loop takes it.
             let span = t_next - self.now;
             let dt = span.min(self.substep_ns);
-            self.advance_all_adaptive(dt);
+            self.advance_all(dt);
             self.now += dt;
         }
         self.now = end;
@@ -189,7 +190,7 @@ impl Simulation {
         let mut span_end = t_next;
         for pi in 0..self.hv.pcpus.len() {
             let Some(rv) = self.hv.pcpus[pi].running else {
-                if self.idle_can_dispatch(pi) {
+                if self.hv.idle_can_dispatch(pi) {
                     return self.now;
                 }
                 continue;
@@ -357,61 +358,6 @@ impl Simulation {
         }
         self.now += window;
         true
-    }
-
-    /// The adaptive twin of [`Simulation::advance_all`]: advances every
-    /// pCPU whose sub-step can matter and skips idle pCPUs whose
-    /// dispatch attempt provably fails ([`Simulation::idle_can_dispatch`]).
-    /// The skip is exact: a failed `try_dispatch` performs no state
-    /// change, and the pool flags are trusted only while `sched_gen`
-    /// stands still (any block/yield/preempt/dispatch inside this
-    /// sub-step bumps it, and the remaining pCPUs then take the full
-    /// path). The dense loop, the oracle, keeps the exhaustive scan.
-    fn advance_all_adaptive(&mut self, dt: u64) {
-        let gen0 = self.sched_gen;
-        for pi in 0..self.hv.pcpus.len() {
-            if self.sched_gen == gen0
-                && self.hv.pcpus[pi].running.is_none()
-                && !self.idle_can_dispatch(pi)
-            {
-                continue;
-            }
-            self.advance_pcpu_from(pi, 0, dt, 0);
-        }
-    }
-
-    /// Whether the dispatch attempt of idle pCPU `pi` would succeed: its
-    /// own queue holds work, or its pool holds stealable work.
-    fn idle_can_dispatch(&mut self, pi: usize) -> bool {
-        if !self.hv.pcpus[pi].queue.is_empty() {
-            return true;
-        }
-        self.refresh_pool_stealable();
-        self.scratch.pool_stealable[self.hv.pcpus[pi].pool.index()]
-    }
-
-    /// Recomputes the per-pool "any stealable queued work" flags unless
-    /// `sched_gen` stood still since the last refresh: they are a pure
-    /// function of queue contents, which only change when the
-    /// generation moves, so consecutive quiet sub-steps reuse them.
-    fn refresh_pool_stealable(&mut self) {
-        if self.scratch.pool_stealable_gen == Some(self.sched_gen) {
-            return;
-        }
-        let hv = &self.hv;
-        let flags = &mut self.scratch.pool_stealable;
-        flags.clear();
-        flags.resize(hv.pools.len(), false);
-        for p in &hv.pcpus {
-            let n = if hv.pinned_vcpus > 0 {
-                p.queue
-                    .stealable_len_where(|v| hv.vcpus[v.index()].pinned.is_none())
-            } else {
-                p.queue.stealable_len()
-            };
-            flags[p.pool.index()] |= n > 0;
-        }
-        self.scratch.pool_stealable_gen = Some(self.sched_gen);
     }
 
     /// How many of the span's `steps` grid steps may be coalesced into

@@ -22,7 +22,9 @@ pub struct PcpuState {
     pub pool: PoolId,
     /// Currently dispatched vCPU, if any.
     pub running: Option<VcpuId>,
-    /// Local run queue.
+    /// Local run queue. Only the engine mutates it: the hypervisor
+    /// keeps per-pool sums of its movable entries in step, which a
+    /// direct push or pop would leave stale.
     pub queue: RunQueue,
     /// Total busy time.
     pub busy_ns: u64,
@@ -52,11 +54,14 @@ pub struct Hypervisor {
     pub pools: Vec<CpuPool>,
     /// Per-socket shared LLC state.
     pub llcs: Vec<LlcState>,
-    /// Number of vCPUs with a hard pin ([`VmSpec::pin`]). The balance
-    /// paths only take their pin-aware (predicate-scanning) branches
-    /// when this is non-zero, so pin-free machines keep the exact
-    /// allocation-free fast paths.
+    /// Number of vCPUs with a hard pin ([`VmSpec::pin`]). Steals only
+    /// take the pin-aware (predicate-scanning) branch when this is
+    /// non-zero, so pin-free machines keep the plain tail pop.
     pub pinned_vcpus: usize,
+    /// Per pool, the sum of its pCPUs' [`RunQueue::movable_len`]: the
+    /// queued work an idle pCPU of the pool can steal. Kept in step by
+    /// [`Hypervisor::with_queue`] and rebuilt by `apply_plan`.
+    pool_movable: Vec<usize>,
 }
 
 impl Hypervisor {
@@ -85,6 +90,7 @@ impl Hypervisor {
             llcs,
             machine,
             pinned_vcpus: 0,
+            pool_movable: vec![0],
         }
     }
 
@@ -162,13 +168,16 @@ impl Hypervisor {
                 self.vcpus[i].pool_migrations += 1;
             }
         }
-        // Rebuild queues: drain everything, re-enqueue in global order.
+        // Rebuild queues: drain everything, re-enqueue in global order
+        // (which rebuilds the per-pool movable sums from zero).
         let mut queued: Vec<(VcpuId, Prio)> = Vec::new();
         for p in &mut self.pcpus {
             while let Some(entry) = p.queue.pop_best() {
                 queued.push(entry);
             }
         }
+        self.pool_movable.clear();
+        self.pool_movable.resize(self.pools.len(), 0);
         queued.sort_by_key(|(v, _)| v.index());
         for (v, prio) in queued {
             self.enqueue(v, prio, false, false);
@@ -252,13 +261,15 @@ impl Hypervisor {
         } else {
             self.least_loaded_pcpu(pool)
         };
+        let pinned = v.pinned.is_some();
         self.vcpus[vcpu.index()].affine_pcpu = target;
-        let q = &mut self.pcpus[target.index()].queue;
-        if at_head {
-            q.push_head(prio, vcpu);
-        } else {
-            q.push_tail(prio, vcpu);
-        }
+        self.with_queue(target.index(), |q| {
+            if at_head {
+                q.push_head(prio, vcpu, pinned);
+            } else {
+                q.push_tail(prio, vcpu, pinned);
+            }
+        });
         if from_wake {
             if let Some(rv) = self.pcpus[target.index()].running {
                 if prio < self.vcpus[rv.index()].prio {
@@ -266,6 +277,52 @@ impl Hypervisor {
                 }
             }
         }
+    }
+
+    /// Runs `op` on pCPU `p`'s run queue, keeping its pool's movable
+    /// sum in step. The engine mutates queues only through here and
+    /// [`Hypervisor::steal_from`] (and `apply_plan`, which rebuilds the
+    /// sums), so they stay exact.
+    pub(super) fn with_queue<R>(&mut self, p: usize, op: impl FnOnce(&mut RunQueue) -> R) -> R {
+        tally(&mut self.pcpus[p], &mut self.pool_movable, op)
+    }
+
+    /// Steals the latest movable vCPU from pCPU `p`'s queue (`UNDER`
+    /// before `OVER`, never `BOOST` or a hard-pinned vCPU).
+    pub(super) fn steal_from(&mut self, p: usize) -> Option<(VcpuId, Prio)> {
+        let Hypervisor {
+            vcpus,
+            pcpus,
+            pool_movable,
+            pinned_vcpus,
+            ..
+        } = self;
+        tally(&mut pcpus[p], pool_movable, |q| {
+            if *pinned_vcpus > 0 {
+                q.steal_tail_where(|v| vcpus[v.index()].pinned.is_none())
+            } else {
+                q.steal_tail()
+            }
+        })
+    }
+
+    /// Whether idle pCPU `p` can dispatch: its own queue holds work, or
+    /// a peer in its pool holds movable work to steal. O(1); debug
+    /// builds check the pool's sum against a recount of its queues.
+    pub(super) fn idle_can_dispatch(&self, p: usize) -> bool {
+        let pcpu = &self.pcpus[p];
+        let movable = self.pool_movable[pcpu.pool.index()];
+        debug_assert_eq!(
+            movable,
+            self.pcpus
+                .iter()
+                .filter(|q| q.pool == pcpu.pool)
+                .map(|q| q.queue.recount_movable())
+                .sum::<usize>(),
+            "{}: movable-work sum disagrees with a recount of its queues",
+            pcpu.pool
+        );
+        !pcpu.queue.is_empty() || movable > 0
     }
 
     /// Wakes a blocked vCPU. Grants BOOST when the vCPU still has
@@ -289,4 +346,18 @@ impl Hypervisor {
         }
         self.enqueue(vcpu, prio, false, true);
     }
+}
+
+/// Runs `op` on `pcpu`'s run queue and moves its pool's entry of
+/// `pool_movable` by the change in the queue's movable count.
+fn tally<R>(
+    pcpu: &mut PcpuState,
+    pool_movable: &mut [usize],
+    op: impl FnOnce(&mut RunQueue) -> R,
+) -> R {
+    let before = pcpu.queue.movable_len();
+    let out = op(&mut pcpu.queue);
+    let sum = &mut pool_movable[pcpu.pool.index()];
+    *sum = *sum + pcpu.queue.movable_len() - before;
+    out
 }

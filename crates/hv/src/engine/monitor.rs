@@ -121,7 +121,7 @@ impl Simulation {
                 // Remove from any queue; preempt if running.
                 let vid = VcpuId(vi);
                 for p in 0..self.hv.pcpus.len() {
-                    self.hv.pcpus[p].queue.remove(vid);
+                    self.hv.with_queue(p, |q| q.remove(vid));
                     if self.hv.pcpus[p].running == Some(vid) {
                         self.hv.pcpus[p].force_resched = true;
                     }

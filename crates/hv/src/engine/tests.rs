@@ -422,6 +422,20 @@ fn idle_stealing_reports_its_victim() {
     }
 }
 
+/// Empties every run queue and idles every pCPU, then queues `entries`
+/// as `(pcpu, class, vcpu)` through the counted queue path, so the
+/// per-pool movable sums stay exact.
+fn set_queues(sim: &mut Simulation, entries: &[(usize, Prio, usize)]) {
+    for p in 0..sim.hv.pcpus.len() {
+        sim.hv.with_queue(p, |q| while q.pop_best().is_some() {});
+        sim.hv.pcpus[p].running = None;
+    }
+    for &(p, prio, v) in entries {
+        sim.hv
+            .with_queue(p, |q| q.push_tail(prio, VcpuId(v), false));
+    }
+}
+
 #[test]
 fn steal_skips_boost_only_peers() {
     // Work conservation: a peer whose queue holds only BOOST vCPUs
@@ -433,14 +447,15 @@ fn steal_skips_boost_only_peers() {
         .vm(VmSpec::single("b"), Box::new(Hog))
         .vm(VmSpec::single("c"), Box::new(Hog))
         .build();
-    for p in &mut sim.hv.pcpus {
-        while p.queue.pop_best().is_some() {}
-        p.running = None;
-    }
     // pCPU 1: two BOOST entries (longer queue); pCPU 2: one UNDER.
-    sim.hv.pcpus[1].queue.push_tail(Prio::Boost, VcpuId(0));
-    sim.hv.pcpus[1].queue.push_tail(Prio::Boost, VcpuId(1));
-    sim.hv.pcpus[2].queue.push_tail(Prio::Under, VcpuId(2));
+    set_queues(
+        &mut sim,
+        &[
+            (1, Prio::Boost, 0),
+            (1, Prio::Boost, 1),
+            (2, Prio::Under, 2),
+        ],
+    );
     let got = sim.steal_from_peer(0);
     assert_eq!(
         got,
@@ -459,17 +474,10 @@ fn rebalance_skips_boost_only_donors() {
         .vm(VmSpec::single("b"), Box::new(Hog))
         .vm(VmSpec::single("c"), Box::new(Hog))
         .build();
-    for p in &mut sim.hv.pcpus {
-        while p.queue.pop_best().is_some() {}
-        p.running = None;
-    }
     // pCPU 0: three BOOST entries; pCPU 1: empty; pCPU 2: three UNDER.
-    for v in [0, 1, 2] {
-        sim.hv.pcpus[0].queue.push_tail(Prio::Boost, VcpuId(v));
-    }
-    for v in [0, 1, 2] {
-        sim.hv.pcpus[2].queue.push_tail(Prio::Under, VcpuId(v));
-    }
+    let boost = [0, 1, 2].map(|v| (0, Prio::Boost, v));
+    let under = [0, 1, 2].map(|v| (2, Prio::Under, v));
+    set_queues(&mut sim, &[boost, under].concat());
     sim.rebalance_pools();
     assert!(
         !sim.hv.pcpus[1].queue.is_empty(),
@@ -493,19 +501,10 @@ fn rebalance_prefers_the_loaded_donor_on_stealable_ties() {
         .vm(VmSpec::single("b"), Box::new(Hog))
         .vm(VmSpec::single("c"), Box::new(Hog))
         .build();
-    for p in &mut sim.hv.pcpus {
-        while p.queue.pop_best().is_some() {}
-        p.running = None;
-    }
-    for v in [0, 1] {
-        sim.hv.pcpus[0].queue.push_tail(Prio::Under, VcpuId(v));
-    }
-    for v in [0, 1, 2, 0] {
-        sim.hv.pcpus[1].queue.push_tail(Prio::Boost, VcpuId(v));
-    }
-    for v in [1, 2] {
-        sim.hv.pcpus[1].queue.push_tail(Prio::Under, VcpuId(v));
-    }
+    let mut entries = vec![(0, Prio::Under, 0), (0, Prio::Under, 1)];
+    entries.extend([0, 1, 2, 0].map(|v| (1, Prio::Boost, v)));
+    entries.extend([1, 2].map(|v| (1, Prio::Under, v)));
+    set_queues(&mut sim, &entries);
     sim.rebalance_pools();
     assert!(
         !sim.hv.pcpus[2].queue.is_empty(),

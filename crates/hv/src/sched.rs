@@ -28,6 +28,11 @@ pub const CREDITS_PER_TICK: f64 = 100.0;
 
 /// A per-pCPU run queue with priority classes.
 ///
+/// Each entry remembers whether its vCPU is hard-pinned, so the queue
+/// counts its *movable* entries — the ones a peer may steal: neither
+/// `BOOST` nor pinned — exactly and in O(1) through every push, pop,
+/// steal and remove ([`RunQueue::movable_len`]).
+///
 /// # Examples
 ///
 /// ```
@@ -36,18 +41,36 @@ pub const CREDITS_PER_TICK: f64 = 100.0;
 /// use aql_hv::VcpuId;
 ///
 /// let mut q = RunQueue::new();
-/// q.push_tail(Prio::Under, VcpuId(1));
-/// q.push_tail(Prio::Over, VcpuId(2));
-/// q.push_tail(Prio::Boost, VcpuId(3));
+/// q.push_tail(Prio::Under, VcpuId(1), false);
+/// q.push_tail(Prio::Over, VcpuId(2), true);
+/// q.push_tail(Prio::Boost, VcpuId(3), false);
+/// assert_eq!(q.movable_len(), 1);
 /// assert_eq!(q.pop_best(), Some((VcpuId(3), Prio::Boost)));
 /// assert_eq!(q.pop_best(), Some((VcpuId(1), Prio::Under)));
 /// assert_eq!(q.pop_best(), Some((VcpuId(2), Prio::Over)));
+/// assert_eq!(q.movable_len(), 0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RunQueue {
-    boost: VecDeque<VcpuId>,
-    under: VecDeque<VcpuId>,
-    over: VecDeque<VcpuId>,
+    boost: VecDeque<Entry>,
+    under: VecDeque<Entry>,
+    over: VecDeque<Entry>,
+    /// Queued `UNDER` and `OVER` entries that are not pinned.
+    movable: usize,
+}
+
+/// One queued vCPU and whether it is hard-pinned (never stolen).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    id: VcpuId,
+    pinned: bool,
+}
+
+impl Entry {
+    /// Whether a peer may steal this entry from the `prio` class.
+    fn movable(self, prio: Prio) -> bool {
+        prio != Prio::Boost && !self.pinned
+    }
 }
 
 impl RunQueue {
@@ -56,7 +79,7 @@ impl RunQueue {
         RunQueue::default()
     }
 
-    fn class(&mut self, prio: Prio) -> &mut VecDeque<VcpuId> {
+    fn class(&mut self, prio: Prio) -> &mut VecDeque<Entry> {
         match prio {
             Prio::Boost => &mut self.boost,
             Prio::Under => &mut self.under,
@@ -64,26 +87,41 @@ impl RunQueue {
         }
     }
 
+    /// Counts a new entry and returns it.
+    fn admit(&mut self, prio: Prio, id: VcpuId, pinned: bool) -> Entry {
+        let e = Entry { id, pinned };
+        self.movable += usize::from(e.movable(prio));
+        e
+    }
+
+    /// Uncounts an entry that left the `prio` class.
+    fn release(&mut self, prio: Prio, e: Entry) -> (VcpuId, Prio) {
+        self.movable -= usize::from(e.movable(prio));
+        (e.id, prio)
+    }
+
     /// Appends at the tail of the priority class (normal requeue).
-    pub fn push_tail(&mut self, prio: Prio, id: VcpuId) {
-        self.class(prio).push_back(id);
+    /// `pinned` marks a hard-pinned vCPU, which no peer may steal.
+    pub fn push_tail(&mut self, prio: Prio, id: VcpuId, pinned: bool) {
+        let e = self.admit(prio, id, pinned);
+        self.class(prio).push_back(e);
     }
 
     /// Inserts at the head of the priority class (preempted vCPUs
     /// resume before their peers).
-    pub fn push_head(&mut self, prio: Prio, id: VcpuId) {
-        self.class(prio).push_front(id);
+    pub fn push_head(&mut self, prio: Prio, id: VcpuId, pinned: bool) {
+        let e = self.admit(prio, id, pinned);
+        self.class(prio).push_front(e);
     }
 
     /// Removes and returns the best queued vCPU.
     pub fn pop_best(&mut self) -> Option<(VcpuId, Prio)> {
-        if let Some(v) = self.boost.pop_front() {
-            return Some((v, Prio::Boost));
+        for prio in [Prio::Boost, Prio::Under, Prio::Over] {
+            if let Some(e) = self.class(prio).pop_front() {
+                return Some(self.release(prio, e));
+            }
         }
-        if let Some(v) = self.under.pop_front() {
-            return Some((v, Prio::Under));
-        }
-        self.over.pop_front().map(|v| (v, Prio::Over))
+        None
     }
 
     /// The class of the best queued vCPU, if any.
@@ -103,10 +141,12 @@ impl RunQueue {
     /// victim pCPU keeps its most urgent work (Xen steals `UNDER`
     /// before `OVER`; `BOOST` is never stolen).
     pub fn steal_tail(&mut self) -> Option<(VcpuId, Prio)> {
-        if let Some(v) = self.under.pop_back() {
-            return Some((v, Prio::Under));
+        for prio in [Prio::Under, Prio::Over] {
+            if let Some(e) = self.class(prio).pop_back() {
+                return Some(self.release(prio, e));
+            }
         }
-        self.over.pop_back().map(|v| (v, Prio::Over))
+        None
     }
 
     /// Like [`RunQueue::steal_tail`], but only takes vCPUs the
@@ -115,31 +155,24 @@ impl RunQueue {
     /// one. The plain variant stays the hot-path default; this scan
     /// only runs on machines that actually pin vCPUs.
     pub fn steal_tail_where(&mut self, admit: impl Fn(VcpuId) -> bool) -> Option<(VcpuId, Prio)> {
-        if let Some(pos) = self.under.iter().rposition(|&v| admit(v)) {
-            let v = self.under.remove(pos).expect("position is in range");
-            return Some((v, Prio::Under));
+        for prio in [Prio::Under, Prio::Over] {
+            let q = self.class(prio);
+            if let Some(pos) = q.iter().rposition(|e| admit(e.id)) {
+                let e = q.remove(pos).expect("position is in range");
+                return Some(self.release(prio, e));
+            }
         }
-        let pos = self.over.iter().rposition(|&v| admit(v))?;
-        let v = self.over.remove(pos).expect("position is in range");
-        Some((v, Prio::Over))
-    }
-
-    /// Like [`RunQueue::stealable_len`], but counting only vCPUs the
-    /// predicate admits.
-    pub fn stealable_len_where(&self, admit: impl Fn(VcpuId) -> bool) -> usize {
-        self.under
-            .iter()
-            .chain(self.over.iter())
-            .filter(|&&v| admit(v))
-            .count()
+        None
     }
 
     /// Removes a specific vCPU wherever it is queued; returns whether
     /// it was present.
     pub fn remove(&mut self, id: VcpuId) -> bool {
-        for q in [&mut self.boost, &mut self.under, &mut self.over] {
-            if let Some(pos) = q.iter().position(|&v| v == id) {
-                q.remove(pos);
+        for prio in [Prio::Boost, Prio::Under, Prio::Over] {
+            let q = self.class(prio);
+            if let Some(pos) = q.iter().position(|e| e.id == id) {
+                let e = q.remove(pos).expect("position is in range");
+                self.release(prio, e);
                 return true;
             }
         }
@@ -151,10 +184,19 @@ impl RunQueue {
         self.boost.len() + self.under.len() + self.over.len()
     }
 
-    /// Queued vCPUs a peer is allowed to steal (`BOOST` is never
-    /// stolen, so it does not count).
-    pub fn stealable_len(&self) -> usize {
-        self.under.len() + self.over.len()
+    /// Queued vCPUs a peer may steal: neither `BOOST` nor pinned. O(1).
+    pub fn movable_len(&self) -> usize {
+        self.movable
+    }
+
+    /// [`RunQueue::movable_len`] recounted from the queued entries, for
+    /// the engine's debug check of the O(1) count.
+    pub(crate) fn recount_movable(&self) -> usize {
+        self.under
+            .iter()
+            .chain(&self.over)
+            .filter(|e| !e.pinned)
+            .count()
     }
 
     /// Whether nothing is queued.
@@ -168,7 +210,7 @@ impl RunQueue {
             .iter()
             .chain(self.under.iter())
             .chain(self.over.iter())
-            .copied()
+            .map(|e| e.id)
     }
 }
 
@@ -265,9 +307,9 @@ mod tests {
     #[test]
     fn queue_priority_order() {
         let mut q = RunQueue::new();
-        q.push_tail(Prio::Over, VcpuId(0));
-        q.push_tail(Prio::Under, VcpuId(1));
-        q.push_tail(Prio::Under, VcpuId(2));
+        q.push_tail(Prio::Over, VcpuId(0), false);
+        q.push_tail(Prio::Under, VcpuId(1), false);
+        q.push_tail(Prio::Under, VcpuId(2), false);
         assert_eq!(q.best_class(), Some(Prio::Under));
         assert_eq!(q.pop_best().unwrap().0, VcpuId(1));
         assert_eq!(q.pop_best().unwrap().0, VcpuId(2));
@@ -278,18 +320,18 @@ mod tests {
     #[test]
     fn queue_head_insert_resumes_first() {
         let mut q = RunQueue::new();
-        q.push_tail(Prio::Under, VcpuId(0));
-        q.push_head(Prio::Under, VcpuId(1));
+        q.push_tail(Prio::Under, VcpuId(0), false);
+        q.push_head(Prio::Under, VcpuId(1), false);
         assert_eq!(q.pop_best().unwrap().0, VcpuId(1));
     }
 
     #[test]
     fn steal_prefers_under_tail() {
         let mut q = RunQueue::new();
-        q.push_tail(Prio::Boost, VcpuId(0));
-        q.push_tail(Prio::Under, VcpuId(1));
-        q.push_tail(Prio::Under, VcpuId(2));
-        q.push_tail(Prio::Over, VcpuId(3));
+        q.push_tail(Prio::Boost, VcpuId(0), false);
+        q.push_tail(Prio::Under, VcpuId(1), false);
+        q.push_tail(Prio::Under, VcpuId(2), false);
+        q.push_tail(Prio::Over, VcpuId(3), false);
         assert_eq!(q.steal_tail(), Some((VcpuId(2), Prio::Under)));
         assert_eq!(q.steal_tail(), Some((VcpuId(1), Prio::Under)));
         // Boost is never stolen; Over is the fallback.
@@ -301,8 +343,8 @@ mod tests {
     #[test]
     fn remove_finds_any_class() {
         let mut q = RunQueue::new();
-        q.push_tail(Prio::Boost, VcpuId(0));
-        q.push_tail(Prio::Over, VcpuId(1));
+        q.push_tail(Prio::Boost, VcpuId(0), false);
+        q.push_tail(Prio::Over, VcpuId(1), false);
         assert!(q.remove(VcpuId(1)));
         assert!(!q.remove(VcpuId(1)));
         assert!(q.remove(VcpuId(0)));
@@ -312,9 +354,9 @@ mod tests {
     #[test]
     fn iter_orders_best_first() {
         let mut q = RunQueue::new();
-        q.push_tail(Prio::Over, VcpuId(5));
-        q.push_tail(Prio::Boost, VcpuId(6));
-        q.push_tail(Prio::Under, VcpuId(7));
+        q.push_tail(Prio::Over, VcpuId(5), false);
+        q.push_tail(Prio::Boost, VcpuId(6), false);
+        q.push_tail(Prio::Under, VcpuId(7), false);
         let order: Vec<usize> = q.iter().map(|v| v.index()).collect();
         assert_eq!(order, vec![6, 7, 5]);
     }
@@ -511,11 +553,11 @@ mod runqueue_properties {
                 let id = VcpuId(vcpu_sel);
                 match op {
                     0 => {
-                        q.push_tail(prio, id);
+                        q.push_tail(prio, id, false);
                         m.push_tail(prio, id);
                     }
                     1 => {
-                        q.push_head(prio, id);
+                        q.push_head(prio, id, false);
                         m.push_head(prio, id);
                     }
                     2 => prop_assert_eq!(q.pop_best(), m.pop_best()),
@@ -525,7 +567,7 @@ mod runqueue_properties {
                 prop_assert_eq!(q.len(), m.len());
                 prop_assert_eq!(q.is_empty(), m.len() == 0);
                 prop_assert_eq!(
-                    q.stealable_len(),
+                    q.movable_len(),
                     m.classes[1].len() + m.classes[2].len()
                 );
                 prop_assert_eq!(q.best_class(), m.best_class());
@@ -546,7 +588,7 @@ mod runqueue_properties {
                 if op < 4 {
                     let prio = PRIOS[prio_sel];
                     let id = VcpuId(vcpu_sel);
-                    q.push_tail(prio, id);
+                    q.push_tail(prio, id, false);
                     per_class[prio_sel].push(id);
                 }
             }
@@ -572,7 +614,7 @@ mod runqueue_properties {
             let mut boosted = 0usize;
             for (op, prio_sel, vcpu_sel) in ops {
                 if op < 4 {
-                    q.push_tail(PRIOS[prio_sel], VcpuId(vcpu_sel));
+                    q.push_tail(PRIOS[prio_sel], VcpuId(vcpu_sel), false);
                     if PRIOS[prio_sel] == Prio::Boost {
                         boosted += 1;
                     }
@@ -582,6 +624,49 @@ mod runqueue_properties {
                 prop_assert_ne!(p, Prio::Boost, "steal must never take BOOST");
             }
             prop_assert_eq!(q.len(), boosted, "only boosted entries survive stealing");
+        }
+
+        /// The O(1) movable count equals a recount of the deques after
+        /// every push, pop, steal and remove, over pinned and unpinned
+        /// vCPUs in all three classes.
+        #[test]
+        fn movable_count_matches_a_recount(
+            ops in prop::collection::vec((0usize..7, 0usize..3, 0usize..12), 1..160),
+        ) {
+            let pinned = |v: VcpuId| v.index().is_multiple_of(3);
+            let mut q = RunQueue::new();
+            for (op, prio_sel, vcpu_sel) in ops {
+                let (prio, id) = (PRIOS[prio_sel], VcpuId(vcpu_sel));
+                match op {
+                    0 => q.push_tail(prio, id, pinned(id)),
+                    1 => q.push_head(prio, id, pinned(id)),
+                    2 => {
+                        q.pop_best();
+                    }
+                    3 => {
+                        q.steal_tail();
+                    }
+                    4 => {
+                        // The engine's pinned steal never takes a pinned entry.
+                        let got = q.steal_tail_where(|v| !pinned(v));
+                        prop_assert!(got.is_none_or(|(v, _)| !pinned(v)));
+                    }
+                    5 => {
+                        q.steal_tail_where(|v| v.index().is_multiple_of(2));
+                    }
+                    _ => {
+                        q.remove(id);
+                    }
+                }
+                let recount = q
+                    .under
+                    .iter()
+                    .chain(q.over.iter())
+                    .filter(|e| !pinned(e.id))
+                    .count();
+                prop_assert_eq!(q.movable_len(), recount);
+                prop_assert_eq!(q.recount_movable(), recount);
+            }
         }
     }
 }

@@ -5,8 +5,11 @@
 use aql_sched::baselines::xen_credit;
 use aql_sched::core::AqlSched;
 use aql_sched::hv::workload::GuestWorkload;
-use aql_sched::hv::{MachineSpec, SchedPolicy, SimulationBuilder, VmSpec};
+use aql_sched::hv::{MachineSpec, SchedPolicy, SimulationBuilder, TimeMode, VmSpec};
 use aql_sched::mem::CacheSpec;
+use aql_sched::scenarios::{
+    expand, machine, policy_applicable, policy_for, ScenarioSpec, POLICY_NAMES,
+};
 use aql_sched::sim::time::{MS, SEC};
 use aql_sched::workloads::{IoServer, IoServerCfg, MemWalk, SpinJob, SpinJobCfg};
 use proptest::prelude::*;
@@ -147,5 +150,75 @@ proptest! {
         let d = run_population(&kinds, 2, seed, Box::new(AqlSched::paper_defaults()));
         prop_assert_eq!(c.total_cpu_ns(), d.total_cpu_ns());
         prop_assert_eq!(&c.pcpu_busy_ns, &d.pcpu_busy_ns);
+    }
+}
+
+/// A random 1–4-socket machine: an IO server (the VM vSlicer and vTurbo
+/// tag), unpinned walkers and a four-thread spin job, plus one walker
+/// hard-pinned to each pCPU in `pins`.
+fn pinned_spec(sockets: usize, cores: usize, pins: &[usize], seed: u64) -> ScenarioSpec {
+    let mut text = format!(
+        "scenario = pins-and-caps\n\
+         machine = sockets={sockets} cores={cores} cache=i7-3770\n\
+         seed = {seed}\n\
+         warmup_ms = 100\n\
+         measure_ms = 250\n\
+         vm web workload=io/heterogeneous/150\n\
+         vm hog workload=walk/llcf\n\
+         vm walk-%i count=3 workload=walk/lolcf|walk/llco\n\
+         vm spin workload=spin/kernbench/4\n"
+    );
+    for (i, p) in pins.iter().enumerate() {
+        text += &format!(
+            "vm pinned-{i} workload=walk/llco pin={}\n",
+            p % (sockets * cores)
+        );
+    }
+    ScenarioSpec::parse(&text).expect("generated scenario parses")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Hard pins, a capped spin job (its four vCPUs are often queued when
+    /// the cap parks them) and every policy move queued vCPUs through
+    /// each run-queue mutation site (AQL_Sched's `apply_plan`, cap
+    /// parking, vSlicer kick requeues, idle steals, the periodic
+    /// rebalance) while debug builds recount each pool's movable work
+    /// at every idle-pCPU check. Dense and the uncoalesced adaptive path
+    /// share those checks and must agree bit for bit.
+    #[test]
+    fn run_queue_counts_survive_pins_caps_and_every_policy(
+        sockets in 1usize..5,
+        cores in 1usize..4,
+        pins in prop::collection::vec(0usize..12, 1..4),
+        cap_pct in 5u32..40,
+        seed in 1u64..10_000,
+    ) {
+        let spec = pinned_spec(sockets, cores, &pins, seed);
+        for policy in POLICY_NAMES {
+            if !policy_applicable(&spec, policy) {
+                continue;
+            }
+            let run = |mode: TimeMode| {
+                let mut vms = expand(&spec);
+                let spin = vms.iter().position(|(v, _)| v.name == "spin").expect("spin VM");
+                vms[spin].0.cap_pct = Some(cap_pct);
+                let mut sim = SimulationBuilder::new(machine(&spec))
+                    .seed(spec.seed)
+                    .time_mode(mode)
+                    .coalesce(false)
+                    .policy(policy_for(&spec, policy).expect("known policy"))
+                    .vms(vms)
+                    .build();
+                format!("{:?}", sim.run_measured(spec.warmup_ns, spec.measure_ns))
+            };
+            prop_assert_eq!(
+                run(TimeMode::Dense),
+                run(TimeMode::Adaptive),
+                "{} socket(s) x {} core(s), pins {:?}, {}",
+                sockets, cores, &pins, policy
+            );
+        }
     }
 }

@@ -22,16 +22,19 @@ use proptest::prelude::*;
 
 /// The conformance matrix: a catalog subset covering every horizon
 /// kind (Never walkers and spin jobs, At mail servers, Unknown
-/// exclusive IO, idle VMs, phased shape-shifters) crossed with
-/// policies covering every span-limiting mechanism (long Xen quanta,
-/// microsliced sub-step-scale quanta, vSlicer kick deadlines, and
-/// AQL's per-class pools), plus [`STEAL_CASE`].
-const CONFORMANCE_SCENARIOS: [&str; 5] = [
+/// exclusive IO, idle VMs, phased shape-shifters) and the only pinned
+/// machine (`pinned-calibration`: four vCPUs hard-pinned to one pCPU
+/// next to seven idle ones) crossed with policies covering every
+/// span-limiting mechanism (long Xen quanta, microsliced
+/// sub-step-scale quanta, vSlicer kick deadlines, and AQL's per-class
+/// pools), plus [`STEAL_CASE`].
+const CONFORMANCE_SCENARIOS: [&str; 6] = [
     "quickstart",
     "vtrs-live",
     "solo-calibration",
     "nightly-lull",
     "webfarm-oversub",
+    "pinned-calibration",
 ];
 const CONFORMANCE_POLICIES: [&str; 4] = ["xen-credit", "microsliced", "vslicer", "aql-sched"];
 
