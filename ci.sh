@@ -126,6 +126,11 @@ step "figure goldens: full conformance set in release (incl. the heavy debug-ign
 # committed pre-plan-layer goldens (tests/goldens/).
 cargo test --release --test figure_goldens -- --include-ignored
 
+step "grid-path oracle: every catalog cell, dense vs uncoalesced adaptive byte-identical (release)"
+# The debug suite checks a catalog subset; this runs the whole catalog
+# x policy matrix at quick length (~4 s of simulation in release).
+cargo test --release --test time_advance -- --include-ignored
+
 step "repro smoke: deterministic artifacts byte-identical across --threads 1 vs 4; wall times -> BENCH_sweep.json"
 # The wall-clock artifacts (overhead, scalability, ablations' scaling
 # table) are excluded: their *measurements* vary run to run by design.

@@ -17,22 +17,23 @@
 //! Quantum boundaries are enforced inside the sub-step loop at
 //! nanosecond precision: a slice never runs past `Vcpu::slice_end`.
 //!
-//! How the loop walks that sub-step grid is the [`TimeMode`]:
-//! [`TimeMode::Dense`] visits every grid point and re-derives the
-//! scheduler state at each one (the original engine loop, kept as the
-//! conformance oracle), while [`TimeMode::Adaptive`] — the default —
-//! computes an *event horizon* (the earliest instant anything
-//! scheduler-visible can happen: next event, slice expiry, kick
-//! deadline or workload [`Horizon`](crate::workload::Horizon)) and
-//! fast-forwards whole sub-steps up to it on a lean path, **coalescing
-//! the span into one execution chunk per slot** whenever every running
-//! slot is provably linear (see
-//! [`CoalesceHint`](crate::workload::CoalesceHint)). The adaptive mode
-//! reproduces the dense oracle under a quantified tolerance: all `u64`
-//! accounting, events and dispatch decisions are bit-exact, and f64
-//! metrics drift by at most 1e-6 relative (coalesced summation order
-//! plus snapped sub-epsilon cache traffic); see the `horizon` module
-//! docs for the argument.
+//! [`Simulation::run_until`] is the one run loop, and [`TimeMode`]
+//! changes one step of it. [`TimeMode::Dense`] visits every grid point
+//! and re-derives the scheduler state at each one (the conformance
+//! oracle). [`TimeMode::Adaptive`] — the default — additionally tries,
+//! at each grid point, to compute an *event horizon* (the earliest
+//! instant anything scheduler-visible can happen: next event, slice
+//! expiry, kick deadline or workload
+//! [`Horizon`](crate::workload::Horizon)) and fast-forward whole
+//! sub-steps up to it on a lean path, **coalescing the span into one
+//! execution chunk per slot** whenever every running slot is provably
+//! linear (see [`CoalesceHint`](crate::workload::CoalesceHint)). With
+//! coalescing off the adaptive mode replays the dense grid byte for
+//! byte. With it on, the adaptive mode reproduces the dense oracle
+//! under a quantified tolerance: all `u64` accounting, events and
+//! dispatch decisions are bit-exact, and f64 metrics drift by at most
+//! 1e-6 relative (coalesced summation order plus snapped sub-epsilon
+//! cache traffic); see the `horizon` module docs for the argument.
 //!
 //! The engine is layered into focused modules behind this facade:
 //!
@@ -43,8 +44,9 @@
 //!   measured policy deltas are attributable to configuration, never
 //!   to divergent code paths.
 //! * `exec` — the bounded sub-step execution loop.
-//! * `horizon` — the adaptive time-advance core: quiescent-span
-//!   planning and the fast-forward loop.
+//! * `horizon` — the adaptive time-advance core: the run loop's
+//!   adaptive-only step, quiescent-span planning and the fast-forward
+//!   loop.
 //! * `monitor` — event handling: credit ticks, PMU sampling and the
 //!   [`SchedPolicy::on_monitor`] plumbing, guest timers.
 //! * `balance` — idle stealing and periodic run-queue balancing
@@ -72,10 +74,10 @@ pub use machine::{Hypervisor, PcpuState};
 /// events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimeMode {
-    /// The original engine loop: every sub-step visits the event
-    /// queue, the rescheduler and every pCPU. Kept as the conformance
-    /// oracle for [`TimeMode::Adaptive`] and for bisecting suspected
-    /// fast-path bugs.
+    /// The run loop without its fast-forward step: every sub-step
+    /// visits the event queue, the rescheduler and every pCPU. Kept as
+    /// the conformance oracle for [`TimeMode::Adaptive`] and for
+    /// bisecting suspected fast-path bugs.
     Dense,
     /// Event-horizon execution (the default): between events the
     /// engine proves a span quiescent — no slice expiry, no kick
@@ -125,11 +127,6 @@ struct Scratch {
     pool_pcpus: Vec<usize>,
     /// Busy-pCPU execution slots of the adaptive fast-forward loop.
     fast_slots: Vec<horizon::FastSlot>,
-    /// `sched_gen` at the last failed quiescent-span plan; planning is
-    /// skipped (generic dense sub-steps taken) until the generation
-    /// moves. Purely an efficiency memo — which advance mode runs is
-    /// invisible in the results.
-    failed_plan_gen: Option<u64>,
 }
 
 /// A complete simulation run: hypervisor + workloads + policy + clock.
@@ -156,12 +153,6 @@ pub struct Simulation {
     /// vCPU that changes socket simply misses and recomputes the bits a
     /// hit would have served.
     rate_cache: RateCache,
-    /// Scheduling-state generation: bumped on every event, dispatch,
-    /// preemption, block and yield. The adaptive planner memoizes a
-    /// failed quiescent-span plan against this counter — no plan can
-    /// start succeeding until the generation moves, so re-planning
-    /// every sub-step of a short-quantum regime is wasted work.
-    sched_gen: u64,
     /// Armed sentinels of a budgeted run in flight (see
     /// [`Simulation::run_measured_budgeted`]); `None` outside one.
     budget: Option<budget::ArmedBudget>,
@@ -211,28 +202,22 @@ impl Simulation {
 
     /// Runs until `end` (absolute simulated time). A no-op when `end`
     /// is not after the current time: the clock never moves backwards.
+    ///
+    /// The one run loop of both time modes. [`TimeMode::Dense`] is
+    /// this loop without step 5, so the two modes differ in nothing
+    /// but the fast-forward itself.
     pub fn run_until(&mut self, end: SimTime) {
         if end <= self.now {
             return;
         }
-        match self.time_mode {
-            TimeMode::Dense => self.run_until_dense(end),
-            TimeMode::Adaptive => self.run_until_adaptive(end),
-        }
-    }
-
-    /// The original dense loop: every sub-step re-derives the full
-    /// scheduler state. [`TimeMode::Adaptive`] must reproduce this
-    /// loop's results bit for bit.
-    fn run_until_dense(&mut self, end: SimTime) {
         while self.now < end {
-            // 0. A tripped run budget aborts mid-run: return, never
+            // 1. A tripped run budget aborts mid-run: return, never
             // `break` — the epilogue below would claim the clock
             // reached `end` when it did not.
             if self.budget_stop() {
                 return;
             }
-            // 1. Process all events due now.
+            // 2. Process all events due now.
             while self
                 .queue
                 .peek_time()
@@ -242,9 +227,8 @@ impl Simulation {
                 debug_assert!(t <= self.now);
                 self.handle_event(ev);
             }
-            // 2. Repair scheduling decisions.
+            // 3. Repair scheduling decisions.
             self.resched_all();
-            // 3. Advance execution to the next event or sub-step.
             let t_next = self.queue.peek_time().map_or(end, |t| t.min(end));
             if t_next <= self.now {
                 // An event scheduled exactly at `now` appeared during
@@ -254,14 +238,20 @@ impl Simulation {
                 }
                 break;
             }
-            let span = t_next - self.now;
-            let dt = span.min(self.substep_ns);
-            if self.hv.pcpus.iter().any(|p| p.running.is_some()) {
-                self.advance_all(dt);
-                self.now += dt;
-            } else {
+            // 4. A fully idle machine leaps to the next event.
+            if !self.hv.pcpus.iter().any(|p| p.running.is_some()) {
                 self.now = t_next;
+                continue;
             }
+            // 5. Adaptive only: fast-forward a quiescent span, then
+            // re-derive everything at the grid point it stops at.
+            if self.time_mode == TimeMode::Adaptive && self.fast_forward_to(t_next) {
+                continue;
+            }
+            // 6. One generic sub-step.
+            let dt = (t_next - self.now).min(self.substep_ns);
+            self.advance_all(dt);
+            self.now += dt;
         }
         self.now = end;
     }

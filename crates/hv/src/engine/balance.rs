@@ -29,7 +29,7 @@ impl Simulation {
             if p == pcpu {
                 continue;
             }
-            let len = self.hv.pcpus[p].queue.movable_len();
+            let len = self.hv.pcpus[p].queue().movable_len();
             if len == 0 {
                 continue;
             }
@@ -63,7 +63,8 @@ impl Simulation {
             }
             for _ in 0..self.hv.vcpus.len() {
                 let load = |p: &usize| {
-                    self.hv.pcpus[*p].queue.len() + usize::from(self.hv.pcpus[*p].running.is_some())
+                    self.hv.pcpus[*p].queue().len()
+                        + usize::from(self.hv.pcpus[*p].running.is_some())
                 };
                 // The donor is the most loaded peer *among those with
                 // movable work*: an unfiltered pick would let a
@@ -75,7 +76,7 @@ impl Simulation {
                 // plain most-loaded pick.
                 let Some(&max_p) = pcpus
                     .iter()
-                    .filter(|p| self.hv.pcpus[**p].queue.movable_len() > 0)
+                    .filter(|p| self.hv.pcpus[**p].queue().movable_len() > 0)
                     .max_by_key(|p| (load(p), usize::MAX - **p))
                 else {
                     break;

@@ -63,7 +63,7 @@ impl Simulation {
                     let wrong_pool = self.hv.vcpus[rv.index()].pool != self.hv.pcpus[pi].pool;
                     let parked = self.hv.vcpus[rv.index()].parked;
                     let better_waiter = self.hv.pcpus[pi]
-                        .queue
+                        .queue()
                         .best_class()
                         .is_some_and(|c| c < self.hv.vcpus[rv.index()].prio);
                     if wrong_pool || parked || better_waiter {
@@ -75,7 +75,7 @@ impl Simulation {
             // kick period elapsed preempts the running vCPU and runs
             // next (its own slice is the short override).
             if let Some(rv) = self.hv.pcpus[pi].running {
-                let due = self.hv.pcpus[pi].queue.iter().find(|v| {
+                let due = self.hv.pcpus[pi].queue().iter().find(|v| {
                     let vc = &self.hv.vcpus[v.index()];
                     vc.kick_period_ns
                         .is_some_and(|p| self.now.saturating_since(vc.last_desched) >= p)
@@ -114,7 +114,6 @@ impl Simulation {
         resume_slice_ns: Option<u64>,
     ) -> Prio {
         debug_assert_eq!(self.hv.pcpus[pcpu].running, Some(vcpu));
-        self.sched_gen += 1;
         self.hv.pcpus[pcpu].running = None;
         let v = &mut self.hv.vcpus[vcpu.index()];
         v.state = state;
@@ -208,7 +207,6 @@ impl Simulation {
     /// policy's [`on_dispatch`](crate::policy::SchedPolicy::on_dispatch)
     /// hook.
     fn apply_decision(&mut self, decision: DispatchDecision, t: SimTime) {
-        self.sched_gen += 1;
         let pcpu = decision.pcpu.index();
         let vid = decision.vcpu;
         let (vm, slot) = {

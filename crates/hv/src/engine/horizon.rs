@@ -1,10 +1,14 @@
-//! The adaptive time-advance core (`TimeMode::Adaptive`).
+//! The adaptive time-advance core: step 5 of
+//! [`Simulation::run_until`], taken in `TimeMode::Adaptive` only.
 //!
-//! Between events the dense loop visits every sub-step grid point and
-//! re-derives the full scheduler state — event-queue peeks, pending
-//! preemptions, kick deadlines, idle-pCPU dispatch checks —
-//! even across long spans where provably none of it can matter. This
-//! module plans those spans explicitly and leaps over the dead work.
+//! Between events the run loop's generic sub-step visits every grid
+//! point and re-derives the full scheduler state — event-queue peeks,
+//! pending preemptions, kick deadlines, idle-pCPU dispatch checks —
+//! even across long spans where provably none of it can matter.
+//! `fast_forward_to` plans such a span and leaps over the dead work;
+//! when no span of [`MIN_FAST_STEPS`] sub-steps fits it changes
+//! nothing and the loop takes its generic sub-step. The dense oracle
+//! is the same loop without this step.
 //!
 //! # The quiescent-span argument
 //!
@@ -76,7 +80,7 @@
 
 use aql_sim::time::{whole_steps, SimTime};
 
-use super::{Simulation, TimeMode};
+use super::Simulation;
 use crate::ids::PcpuId;
 use crate::vm::VcpuState;
 use crate::workload::{CoalesceHint, CoalesceProbe, Horizon, StopReason};
@@ -103,73 +107,19 @@ pub(super) struct FastSlot {
 }
 
 impl Simulation {
-    /// The adaptive run loop. Event handling, rescheduling and the
-    /// generic sub-step are shared with the dense loop; the only
-    /// addition is the quiescent-span fast-forward between them.
-    pub(super) fn run_until_adaptive(&mut self, end: SimTime) {
-        debug_assert_eq!(self.time_mode, TimeMode::Adaptive);
-        // A previous call's failed plan may have been bounded by that
-        // call's `end`; this call can see further.
-        self.scratch.failed_plan_gen = None;
-        while self.now < end {
-            // 0. A tripped run budget aborts mid-run (identical to
-            // dense): return, never `break` — the epilogue would
-            // falsify the clock.
-            if self.budget_stop() {
-                return;
-            }
-            // 1. Process all events due now (identical to dense).
-            while self
-                .queue
-                .peek_time()
-                .is_some_and(|t| t <= self.now && t <= end)
-            {
-                let (t, ev) = self.queue.pop().expect("peeked");
-                debug_assert!(t <= self.now);
-                self.handle_event(ev);
-            }
-            // 2. Repair scheduling decisions (identical to dense).
-            self.resched_all();
-            // 3. Plan the advance.
-            let t_next = self.queue.peek_time().map_or(end, |t| t.min(end));
-            if t_next <= self.now {
-                if self.queue.peek_time().is_some_and(|t| t <= self.now) {
-                    continue;
-                }
-                break;
-            }
-            if !self.hv.pcpus.iter().any(|p| p.running.is_some()) {
-                // Machine fully idle: leap to the next event, exactly
-                // as the dense loop does.
-                self.now = t_next;
-                continue;
-            }
-            // A plan that failed can only start succeeding after the
-            // scheduling state moves: slices end, kick deadlines pass
-            // and IO queues drain all *via* a dispatch/block/preempt or
-            // an event, each of which bumps `sched_gen`. So a failed
-            // plan is memoized against the generation instead of being
-            // recomputed every sub-step of a short-quantum regime.
-            if self.scratch.failed_plan_gen != Some(self.sched_gen) {
-                let span_end = self.quiescent_until(t_next);
-                if whole_steps(self.now, span_end, self.substep_ns) >= MIN_FAST_STEPS {
-                    self.fast_forward(span_end);
-                    // Re-derive everything at the new grid point: the
-                    // dense loop performs the same event drain and
-                    // resched there (both provably no-ops unless the
-                    // span aborted).
-                    continue;
-                }
-                self.scratch.failed_plan_gen = Some(self.sched_gen);
-            }
-            // 4. Not quiescent for long enough: one generic sub-step,
-            // exactly as the dense loop takes it.
-            let span = t_next - self.now;
-            let dt = span.min(self.substep_ns);
-            self.advance_all(dt);
-            self.now += dt;
+    /// Fast-forwards the quiescent span that starts now and ends before
+    /// `t_next` (the next queued event, or the run's end) when at least
+    /// [`MIN_FAST_STEPS`] whole sub-steps fit; otherwise returns `false`
+    /// without changing anything, and the run loop takes its generic
+    /// sub-step. Called right after the event drain, `resched_all` and
+    /// the idle leap, which is what makes the plan sound.
+    pub(super) fn fast_forward_to(&mut self, t_next: SimTime) -> bool {
+        let span_end = self.quiescent_until(t_next);
+        if whole_steps(self.now, span_end, self.substep_ns) < MIN_FAST_STEPS {
+            return false;
         }
-        self.now = end;
+        self.fast_forward(span_end);
+        true
     }
 
     /// The earliest instant anything scheduler-visible can happen, at
@@ -213,7 +163,7 @@ impl Simulation {
             // vSlicer differentiated frequency: a queued vCPU whose
             // kick period elapses preempts a kickless runner.
             if v.kick_period_ns.is_none() {
-                for w in self.hv.pcpus[pi].queue.iter() {
+                for w in self.hv.pcpus[pi].queue().iter() {
                     let wc = &self.hv.vcpus[w.index()];
                     if let Some(p) = wc.kick_period_ns {
                         span_end = span_end.min(wc.last_desched + p);

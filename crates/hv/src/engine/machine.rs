@@ -14,6 +14,19 @@ use crate::topology::MachineSpec;
 use crate::vm::{Prio, Vcpu, VcpuState, VmMeta, VmSpec};
 
 /// Per-pCPU scheduler state.
+///
+/// The run queue is read-only outside the hypervisor
+/// ([`PcpuState::queue()`]): the hypervisor keeps per-pool sums of its
+/// movable entries in step, which a direct push or pop would leave
+/// stale. So this does not compile:
+///
+/// ```compile_fail
+/// use aql_hv::engine::Hypervisor;
+/// use aql_hv::{MachineSpec, Prio, VcpuId};
+///
+/// let mut hv = Hypervisor::new(MachineSpec::custom("m", 1, 2, aql_mem::CacheSpec::i7_3770()));
+/// hv.pcpus[0].queue.push_tail(Prio::Under, VcpuId(0), false); // field `queue` is private
+/// ```
 #[derive(Debug)]
 pub struct PcpuState {
     /// This pCPU's identifier.
@@ -22,10 +35,10 @@ pub struct PcpuState {
     pub pool: PoolId,
     /// Currently dispatched vCPU, if any.
     pub running: Option<VcpuId>,
-    /// Local run queue. Only the engine mutates it: the hypervisor
-    /// keeps per-pool sums of its movable entries in step, which a
-    /// direct push or pop would leave stale.
-    pub queue: RunQueue,
+    /// Local run queue, mutated only through
+    /// [`Hypervisor::with_queue`], [`Hypervisor::steal_from`] and
+    /// [`Hypervisor::apply_plan`].
+    queue: RunQueue,
     /// Total busy time.
     pub busy_ns: u64,
     /// Set when the current slice must be re-evaluated (boost wake,
@@ -33,6 +46,13 @@ pub struct PcpuState {
     pub force_resched: bool,
     /// The vCPU that last touched this core's private caches.
     pub last_vcpu: Option<VcpuId>,
+}
+
+impl PcpuState {
+    /// The local run queue.
+    pub fn queue(&self) -> &RunQueue {
+        &self.queue
+    }
 }
 
 /// Machine-wide hypervisor state.
@@ -54,10 +74,6 @@ pub struct Hypervisor {
     pub pools: Vec<CpuPool>,
     /// Per-socket shared LLC state.
     pub llcs: Vec<LlcState>,
-    /// Number of vCPUs with a hard pin ([`VmSpec::pin`]). Steals only
-    /// take the pin-aware (predicate-scanning) branch when this is
-    /// non-zero, so pin-free machines keep the plain tail pop.
-    pub pinned_vcpus: usize,
     /// Per pool, the sum of its pCPUs' [`RunQueue::movable_len`]: the
     /// queued work an idle pCPU of the pool can steal. Kept in step by
     /// [`Hypervisor::with_queue`] and rebuilt by `apply_plan`.
@@ -89,7 +105,6 @@ impl Hypervisor {
             pools: vec![CpuPool::default_pool(total)],
             llcs,
             machine,
-            pinned_vcpus: 0,
             pool_movable: vec![0],
         }
     }
@@ -112,7 +127,6 @@ impl Hypervisor {
             let affine = pin.unwrap_or(PcpuId(id.index() % self.machine.total_pcpus()));
             let mut vcpu = Vcpu::new(id, vm_id, slot, PoolId(0), affine);
             vcpu.pinned = pin;
-            self.pinned_vcpus += usize::from(pin.is_some());
             self.vcpus.push(vcpu);
             ids.push(id);
         }
@@ -288,22 +302,10 @@ impl Hypervisor {
     }
 
     /// Steals the latest movable vCPU from pCPU `p`'s queue (`UNDER`
-    /// before `OVER`, never `BOOST` or a hard-pinned vCPU).
+    /// before `OVER`, never `BOOST` or a hard-pinned vCPU; see
+    /// [`RunQueue::steal_tail`]).
     pub(super) fn steal_from(&mut self, p: usize) -> Option<(VcpuId, Prio)> {
-        let Hypervisor {
-            vcpus,
-            pcpus,
-            pool_movable,
-            pinned_vcpus,
-            ..
-        } = self;
-        tally(&mut pcpus[p], pool_movable, |q| {
-            if *pinned_vcpus > 0 {
-                q.steal_tail_where(|v| vcpus[v.index()].pinned.is_none())
-            } else {
-                q.steal_tail()
-            }
-        })
+        self.with_queue(p, RunQueue::steal_tail)
     }
 
     /// Whether idle pCPU `p` can dispatch: its own queue holds work, or

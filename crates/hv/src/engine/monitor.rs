@@ -17,7 +17,6 @@ use crate::{ACCT_TICKS, MONITOR_PERIOD_NS, TICK_NS};
 impl Simulation {
     /// Dispatches one engine event.
     pub(super) fn handle_event(&mut self, ev: Event) {
-        self.sched_gen += 1;
         match ev {
             Event::Tick => self.handle_tick(),
             Event::Monitor => self.handle_monitor(),

@@ -19,8 +19,10 @@
 //!   PMU models.
 //! * [`engine`] — the simulation loop ([`Simulation`]) advancing
 //!   running vCPUs in bounded sub-steps and dispatching timer events;
-//!   [`TimeMode`] selects between the dense oracle loop and the
-//!   byte-identical event-horizon fast path.
+//!   [`TimeMode`] selects between the dense oracle and the
+//!   event-horizon fast-forward, which replays the dense grid byte for
+//!   byte with chunk coalescing off and stays within the tolerance
+//!   oracle with it on (the default).
 //! * [`policy`] — the [`SchedPolicy`] hook AQL_Sched and the baseline
 //!   schedulers implement.
 //! * [`spinlock`] — a guest-visible ticket spin-lock whose

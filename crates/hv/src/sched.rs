@@ -137,27 +137,15 @@ impl RunQueue {
         }
     }
 
-    /// Steals a vCPU from the tail, preferring lower classes so the
+    /// Steals the latest movable vCPU, preferring lower classes so the
     /// victim pCPU keeps its most urgent work (Xen steals `UNDER`
-    /// before `OVER`; `BOOST` is never stolen).
+    /// before `OVER`; `BOOST` is never stolen): the latest unpinned
+    /// `UNDER` entry, else the latest unpinned `OVER` one. On a
+    /// pin-free queue the scan stops at the tail entry.
     pub fn steal_tail(&mut self) -> Option<(VcpuId, Prio)> {
         for prio in [Prio::Under, Prio::Over] {
-            if let Some(e) = self.class(prio).pop_back() {
-                return Some(self.release(prio, e));
-            }
-        }
-        None
-    }
-
-    /// Like [`RunQueue::steal_tail`], but only takes vCPUs the
-    /// predicate admits (used to skip hard-pinned vCPUs): the latest
-    /// admissible `UNDER` entry, else the latest admissible `OVER`
-    /// one. The plain variant stays the hot-path default; this scan
-    /// only runs on machines that actually pin vCPUs.
-    pub fn steal_tail_where(&mut self, admit: impl Fn(VcpuId) -> bool) -> Option<(VcpuId, Prio)> {
-        for prio in [Prio::Under, Prio::Over] {
             let q = self.class(prio);
-            if let Some(pos) = q.iter().rposition(|e| admit(e.id)) {
+            if let Some(pos) = q.iter().rposition(|e| !e.pinned) {
                 let e = q.remove(pos).expect("position is in range");
                 return Some(self.release(prio, e));
             }
@@ -462,11 +450,11 @@ mod runqueue_properties {
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
-    /// The reference model: one FIFO per class, mirroring the
-    /// documented semantics directly.
+    /// The reference model: one FIFO per class of `(vCPU, pinned)`
+    /// entries, mirroring the documented semantics directly.
     #[derive(Debug, Default)]
     struct Model {
-        classes: [VecDeque<VcpuId>; 3],
+        classes: [VecDeque<(VcpuId, bool)>; 3],
     }
 
     const PRIOS: [Prio; 3] = [Prio::Boost, Prio::Under, Prio::Over];
@@ -480,17 +468,17 @@ mod runqueue_properties {
     }
 
     impl Model {
-        fn push_tail(&mut self, p: Prio, id: VcpuId) {
-            self.classes[class_idx(p)].push_back(id);
+        fn push_tail(&mut self, p: Prio, id: VcpuId, pinned: bool) {
+            self.classes[class_idx(p)].push_back((id, pinned));
         }
 
-        fn push_head(&mut self, p: Prio, id: VcpuId) {
-            self.classes[class_idx(p)].push_front(id);
+        fn push_head(&mut self, p: Prio, id: VcpuId, pinned: bool) {
+            self.classes[class_idx(p)].push_front((id, pinned));
         }
 
         fn pop_best(&mut self) -> Option<(VcpuId, Prio)> {
             for (i, q) in self.classes.iter_mut().enumerate() {
-                if let Some(v) = q.pop_front() {
+                if let Some((v, _)) = q.pop_front() {
                     return Some((v, PRIOS[i]));
                 }
             }
@@ -504,19 +492,25 @@ mod runqueue_properties {
                 .map(|i| PRIOS[i])
         }
 
-        /// Steal prefers `Under` tails, falls back to `Over`; `Boost`
-        /// is never stolen.
+        /// Steal takes the unpinned entry nearest the `Under` tail,
+        /// falls back to `Over`; `Boost` is never stolen.
         fn steal_tail(&mut self) -> Option<(VcpuId, Prio)> {
-            if let Some(v) = self.classes[1].pop_back() {
-                return Some((v, Prio::Under));
+            for i in [1, 2] {
+                let q = &mut self.classes[i];
+                for pos in (0..q.len()).rev() {
+                    if !q[pos].1 {
+                        let (v, _) = q.remove(pos).expect("in range");
+                        return Some((v, PRIOS[i]));
+                    }
+                }
             }
-            self.classes[2].pop_back().map(|v| (v, Prio::Over))
+            None
         }
 
         /// Removes the first occurrence, searching best class first.
         fn remove(&mut self, id: VcpuId) -> bool {
             for q in &mut self.classes {
-                if let Some(pos) = q.iter().position(|&v| v == id) {
+                if let Some(pos) = q.iter().position(|&(v, _)| v == id) {
                     q.remove(pos);
                     return true;
                 }
@@ -524,12 +518,21 @@ mod runqueue_properties {
             false
         }
 
+        /// Unpinned `Under` and `Over` entries.
+        fn movable_len(&self) -> usize {
+            self.classes[1..]
+                .iter()
+                .flatten()
+                .filter(|&&(_, pinned)| !pinned)
+                .count()
+        }
+
         fn len(&self) -> usize {
             self.classes.iter().map(|q| q.len()).sum()
         }
 
         fn iter(&self) -> impl Iterator<Item = VcpuId> + '_ {
-            self.classes.iter().flatten().copied()
+            self.classes.iter().flatten().map(|&(v, _)| v)
         }
     }
 
@@ -543,22 +546,25 @@ mod runqueue_properties {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Every operation agrees with the reference model, and
-        /// `len`/`is_empty`/`best_class` stay consistent throughout.
+        /// `len`/`is_empty`/`movable_len`/`best_class` stay consistent
+        /// throughout. `pins` is the set of hard-pinned vCPUs (one bit
+        /// per vCPU id), which a steal must skip.
         #[test]
-        fn matches_reference_model(ops in arb_ops()) {
+        fn matches_reference_model(ops in arb_ops(), pins in 0u64..(1 << 12)) {
             let mut q = RunQueue::new();
             let mut m = Model::default();
             for (op, prio_sel, vcpu_sel) in ops {
                 let prio = PRIOS[prio_sel];
                 let id = VcpuId(vcpu_sel);
+                let pinned = (pins >> vcpu_sel) & 1 == 1;
                 match op {
                     0 => {
-                        q.push_tail(prio, id, false);
-                        m.push_tail(prio, id);
+                        q.push_tail(prio, id, pinned);
+                        m.push_tail(prio, id, pinned);
                     }
                     1 => {
-                        q.push_head(prio, id, false);
-                        m.push_head(prio, id);
+                        q.push_head(prio, id, pinned);
+                        m.push_head(prio, id, pinned);
                     }
                     2 => prop_assert_eq!(q.pop_best(), m.pop_best()),
                     3 => prop_assert_eq!(q.steal_tail(), m.steal_tail()),
@@ -566,10 +572,7 @@ mod runqueue_properties {
                 }
                 prop_assert_eq!(q.len(), m.len());
                 prop_assert_eq!(q.is_empty(), m.len() == 0);
-                prop_assert_eq!(
-                    q.movable_len(),
-                    m.classes[1].len() + m.classes[2].len()
-                );
+                prop_assert_eq!(q.movable_len(), m.movable_len());
                 prop_assert_eq!(q.best_class(), m.best_class());
                 let got: Vec<VcpuId> = q.iter().collect();
                 let want: Vec<VcpuId> = m.iter().collect();
@@ -631,7 +634,7 @@ mod runqueue_properties {
         /// vCPUs in all three classes.
         #[test]
         fn movable_count_matches_a_recount(
-            ops in prop::collection::vec((0usize..7, 0usize..3, 0usize..12), 1..160),
+            ops in prop::collection::vec((0usize..5, 0usize..3, 0usize..12), 1..160),
         ) {
             let pinned = |v: VcpuId| v.index().is_multiple_of(3);
             let mut q = RunQueue::new();
@@ -644,15 +647,9 @@ mod runqueue_properties {
                         q.pop_best();
                     }
                     3 => {
-                        q.steal_tail();
-                    }
-                    4 => {
-                        // The engine's pinned steal never takes a pinned entry.
-                        let got = q.steal_tail_where(|v| !pinned(v));
+                        // A steal never takes a pinned entry.
+                        let got = q.steal_tail();
                         prop_assert!(got.is_none_or(|(v, _)| !pinned(v)));
-                    }
-                    5 => {
-                        q.steal_tail_where(|v| v.index().is_multiple_of(2));
                     }
                     _ => {
                         q.remove(id);

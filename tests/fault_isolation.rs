@@ -42,9 +42,10 @@ fn scenario(name: &str, fault: Option<&str>) -> ScenarioSpec {
     .unwrap()
 }
 
-/// Solo walkers, at most one per core — the shape the engine reliably
-/// span-coalesces (see `tests/coalesce_conformance.rs`), so a
-/// coalesce-break fault is guaranteed a chunk contract to violate.
+/// The `vm` lines `vms` on a `cores`-core machine. Solo walkers, at
+/// most one per core, are the shape the engine reliably span-coalesces
+/// (see `tests/coalesce_conformance.rs`), so a coalesce-break fault is
+/// guaranteed a chunk contract to violate.
 fn walker_scenario(name: &str, cores: usize, vms: &str) -> ScenarioSpec {
     ScenarioSpec::parse(&format!(
         "scenario = {name}\n\
@@ -99,57 +100,76 @@ fn every_fault_token_degrades_as_classified() {
     }
 }
 
+/// An IO server that blocks whenever its request queue drains, with
+/// `fault` on it, in two placements: next to two walkers on 2 cores,
+/// and pinned to pCPU 0 beside a walker pinned to pCPU 1, so a broken
+/// promise on pCPU 0 leaves pCPU 1's sub-step for the recovery to
+/// finish. ([`scenario`]'s server has CGI background work, so it never
+/// blocks and a `Horizon::Never` lie would be true.)
+fn blocking_server_scenarios(fault: Option<&str>) -> [ScenarioSpec; 2] {
+    let fault_attr = fault.map(|f| format!(" fault={f}")).unwrap_or_default();
+    let web = format!("vm web workload=io/exclusive/150 seed=42{fault_attr}");
+    [
+        walker_scenario(
+            "fi-hs",
+            2,
+            &format!("{web}\nvm walk-%i count=2 workload=walk/llcf|walk/llco\n"),
+        ),
+        walker_scenario(
+            "fi-hp",
+            2,
+            &format!("{web} pin=0\nvm walk workload=walk/llcf pin=1\n"),
+        ),
+    ]
+}
+
+/// `spec` under `xen-credit` in `mode`.
+fn run_xen(spec: &ScenarioSpec, mode: TimeMode, coalesce: bool) -> RunReport {
+    let policy = parse_policy("xen-credit").unwrap();
+    build_sim_seeded_tuned(spec, policy.build(spec), spec.seed, mode, coalesce)
+        .run_measured(spec.warmup_ns, spec.measure_ns)
+}
+
 #[test]
 fn horizon_lie_is_absorbed_bitwise_on_the_grid_path() {
     // With coalescing off, the adaptive grid replay is bit-identical
     // to dense — and the broken-promise recovery must keep it so even
-    // when a workload lies that it never needs service again.
-    let flat = ExecOpts {
-        coalesce: false,
-        ..ExecOpts::serial()
-    };
-    let lied = execute(
-        &[PlanCell::new(
-            scenario("fi-h", Some("horizon-lie")),
-            "xen-credit",
-        )],
-        &flat,
-    )
-    .unwrap();
-    let honest = execute(
-        &[PlanCell::new(scenario("fi-h", None), "xen-credit")],
-        &flat,
-    )
-    .unwrap();
-    assert!(lied[0].failure.is_none(), "{:?}", lied[0].failure);
-    assert_eq!(
-        lied[0].report, honest[0].report,
-        "a lying horizon must not change a single result bit"
-    );
+    // when a server that blocks lies that it never needs service again.
+    let honest = blocking_server_scenarios(None);
+    for (lied, honest) in blocking_server_scenarios(Some("horizon-lie"))
+        .iter()
+        .zip(&honest)
+    {
+        let flat = format!("{:?}", run_xen(lied, TimeMode::Adaptive, false));
+        assert_eq!(
+            flat,
+            format!("{:?}", run_xen(honest, TimeMode::Adaptive, false)),
+            "{}: a lying horizon must not change a single result bit",
+            lied.name
+        );
+        assert_eq!(
+            flat,
+            format!("{:?}", run_xen(lied, TimeMode::Dense, false)),
+            "{}: the recovered grid path must replay the dense oracle",
+            lied.name
+        );
+    }
 }
 
 #[test]
 fn horizon_lie_stays_within_tolerance_when_coalescing() {
-    let lied = execute(
-        &[PlanCell::new(
-            scenario("fi-hc", Some("horizon-lie")),
-            "xen-credit",
-        )],
-        &ExecOpts::serial(),
-    )
-    .unwrap();
-    let honest = execute(
-        &[PlanCell::new(scenario("fi-hc", None), "xen-credit")],
-        &ExecOpts::serial(),
-    )
-    .unwrap();
-    assert!(lied[0].failure.is_none());
-    assert_reports_conform(
-        honest[0].report.as_ref().unwrap(),
-        lied[0].report.as_ref().unwrap(),
-        REL_TOL,
-        "horizon-lie vs honest (coalesced)",
-    );
+    let honest = blocking_server_scenarios(None);
+    for (lied, honest) in blocking_server_scenarios(Some("horizon-lie"))
+        .iter()
+        .zip(&honest)
+    {
+        assert_reports_conform(
+            &run_xen(honest, TimeMode::Adaptive, true),
+            &run_xen(lied, TimeMode::Adaptive, true),
+            REL_TOL,
+            &format!("{}: horizon-lie vs honest (coalesced)", lied.name),
+        );
+    }
 }
 
 /// Runs `spec` under `fixed/10ms` in `mode`; returns the report and

@@ -104,6 +104,34 @@ fn uncoalesced_adaptive_is_byte_identical_to_dense_on_the_catalog() {
     }
 }
 
+/// The grid-path oracle over the whole catalog: every catalog entry ×
+/// applicable [`POLICY_NAMES`] cell at quick length and the spec's
+/// seed, dense vs uncoalesced adaptive, byte for byte. The subset above
+/// runs in every debug `cargo test`; this one covers the machines and
+/// mixes it leaves out (multi-socket hosts, trashers, spin farms).
+#[test]
+#[ignore = "heavy in debug builds; ci.sh runs it in release"]
+fn every_catalog_cell_replays_dense_bitwise_on_the_grid_path() {
+    use aql_sched::scenarios::{run_seeded_tuned, POLICY_NAMES};
+    for name in catalog::names() {
+        let spec = catalog::load(name).expect("catalog entry").quick();
+        for policy in POLICY_NAMES {
+            if !policy_applicable(&spec, policy) {
+                continue;
+            }
+            let run = |mode: TimeMode| {
+                let p = policy_for(&spec, policy).expect("known policy");
+                format!("{:?}", run_seeded_tuned(&spec, p, spec.seed, mode, false))
+            };
+            assert_eq!(
+                run(TimeMode::Dense),
+                run(TimeMode::Adaptive),
+                "grid-path time modes diverged on {name} under {policy}"
+            );
+        }
+    }
+}
+
 /// A pure timer workload: always blocked, fires every `period_ns`,
 /// recording each delivery so tests can assert that no scheduled event
 /// is skipped and that delivery times never regress.
