@@ -131,29 +131,24 @@ step "grid-path oracle: every catalog cell, dense vs uncoalesced adaptive byte-i
 # x policy matrix at quick length (~4 s of simulation in release).
 cargo test --release --test time_advance -- --include-ignored
 
-step "repro smoke: deterministic artifacts byte-identical across --threads 1 vs 4; wall times -> BENCH_sweep.json"
+step "repro smoke: deterministic artifacts byte-identical across --threads 1 vs 4"
 # The wall-clock artifacts (overhead, scalability, ablations' scaling
 # table) are excluded: their *measurements* vary run to run by design.
-# The two --bench-json calls record repro_quick_threads{1,4} next to
-# the sweep numbers, pinning the plan runner's parallel speedup.
 REPRO_DET="fig2 fig4 fig5 fig6left fig6right fig7 fig8 table3 table5 table6 fairness"
 cargo run --release -p aql_experiments --bin repro -- \
-    --quick --threads 1 --bench-json BENCH_sweep.json $REPRO_DET \
-    > /tmp/ci_repro_t1.txt 2> /dev/null
+    --quick --threads 1 $REPRO_DET > /tmp/ci_repro_t1.txt 2> /dev/null
 cargo run --release -p aql_experiments --bin repro -- \
-    --quick --threads 4 --bench-json BENCH_sweep.json $REPRO_DET \
-    > /tmp/ci_repro_t4.txt 2> /dev/null
+    --quick --threads 4 $REPRO_DET > /tmp/ci_repro_t4.txt 2> /dev/null
 diff /tmp/ci_repro_t1.txt /tmp/ci_repro_t4.txt
 rm -f /tmp/ci_repro_t1.txt /tmp/ci_repro_t4.txt
 
 step "fault smoke: a panicking cell is contained, rendered FAIL, and spares its siblings"
 # One healthy scenario next to one whose IO VM panics 30 ms in. The
 # sweep must exit 0 (containment is the contract), render the broken
-# cells as explicit FAILs, list the classified failures, record the
-# count in BENCH_sweep.json (sweep_quick_files2), and keep every
-# healthy row byte-identical to a sweep that never saw the broken
-# scenario. Panic messages land on stderr by design (silenced here);
-# stdout stays deterministic.
+# cells as explicit FAILs, list the classified failures, and keep
+# every healthy row byte-identical to a sweep that never saw the
+# broken scenario. Panic messages land on stderr by design (silenced
+# here); stdout stays deterministic.
 cat > /tmp/ci_fault_ok.scn <<'EOF'
 scenario = fault-ok
 machine = sockets=1 cores=2 cache=i7-3770
@@ -168,7 +163,7 @@ vm walk workload=walk/llcf
 EOF
 cargo run --release -p aql_experiments --bin sweep -- \
     --quick --scenario-file /tmp/ci_fault_ok.scn,/tmp/ci_fault_boom.scn \
-    --bench-json BENCH_sweep.json > /tmp/ci_fault_both.txt 2> /dev/null
+    > /tmp/ci_fault_both.txt 2> /dev/null
 grep -q "FAIL" /tmp/ci_fault_both.txt
 grep -q "cell(s) failed (contained)" /tmp/ci_fault_both.txt
 cargo run --release -p aql_experiments --bin sweep -- \
@@ -204,19 +199,5 @@ cargo run --release -p aql_experiments --bin sweep -- \
 diff /tmp/ci_fresh.txt /tmp/ci_resumed.txt
 rm -f /tmp/ci_fault_ok.scn /tmp/ci_resume_b.scn /tmp/ci_resume.jsonl \
       /tmp/ci_resumed.txt /tmp/ci_fresh.txt
-
-step "BENCH_sweep.json: the records written above load with an independent JSON parser"
-# The repro and fault smokes rewrite BENCH_sweep.json through the
-# harness's own JSON writer; python's json module must still read it
-# and find every record those smokes add, each with a numeric wall_ms.
-python3 - <<'EOF'
-import json, sys
-d = json.load(open("BENCH_sweep.json"))
-for key in ("repro_quick_threads1", "repro_quick_threads4", "sweep_quick_files2"):
-    wall = d.get(key, {}).get("wall_ms")
-    if isinstance(wall, bool) or not isinstance(wall, (int, float)):
-        sys.exit(f"BENCH_sweep.json: {key}.wall_ms missing or not a number")
-    print(f"  {key}: wall_ms {wall}")
-EOF
 
 step "all checks passed"

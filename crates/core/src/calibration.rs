@@ -2,10 +2,9 @@
 //!
 //! AQL_Sched needs to know the best quantum per application type. The
 //! paper finds it offline by sweeping quantum lengths over
-//! representative micro-benchmarks; [`QuantumTable::paper_defaults`]
-//! encodes the published result, and [`Calibrator`] re-derives a table
-//! from sweep measurements (the `repro fig2*` experiments use it, so
-//! the table AQL runs with is the one this reproduction measures).
+//! representative micro-benchmarks. AQL_Sched here runs the published
+//! result, [`QuantumTable::paper_defaults`]; the `repro fig2*`
+//! experiments re-run the sweep behind it.
 
 use aql_hv::apptype::VcpuType;
 use aql_sim::time::MS;
@@ -66,77 +65,6 @@ impl QuantumTable {
     }
 }
 
-/// One sweep measurement: a (type, quantum) cell with a time-like cost
-/// (lower is better), normalised or raw.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// The application type measured.
-    pub vtype: VcpuType,
-    /// The quantum length used (ns).
-    pub quantum_ns: u64,
-    /// The measured cost (lower is better).
-    pub cost: f64,
-}
-
-/// Builds a [`QuantumTable`] from sweep measurements.
-///
-/// A type whose best-to-worst cost spread stays within
-/// `agnostic_margin` is declared quantum-agnostic, mirroring the
-/// paper's treatment of `LoLCF` and `LLCO`.
-#[derive(Debug, Clone)]
-pub struct Calibrator {
-    /// Relative spread below which a type is agnostic (e.g. `0.08`
-    /// = 8%).
-    pub agnostic_margin: f64,
-    /// Default quantum for the resulting table (ns).
-    pub default_quantum_ns: u64,
-}
-
-impl Default for Calibrator {
-    fn default() -> Self {
-        Calibrator {
-            agnostic_margin: 0.08,
-            default_quantum_ns: 30 * MS,
-        }
-    }
-}
-
-impl Calibrator {
-    /// Derives the best-quantum table from sweep points. Types without
-    /// any measurement stay agnostic.
-    pub fn build_table(&self, points: &[SweepPoint]) -> QuantumTable {
-        let mut table = QuantumTable {
-            best: [None; 5],
-            default_quantum_ns: self.default_quantum_ns,
-        };
-        for t in VcpuType::ALL {
-            let cells: Vec<&SweepPoint> = points.iter().filter(|p| p.vtype == t).collect();
-            if cells.is_empty() {
-                continue;
-            }
-            let best = cells
-                .iter()
-                .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("NaN cost"))
-                .expect("non-empty");
-            let worst = cells
-                .iter()
-                .max_by(|a, b| a.cost.partial_cmp(&b.cost).expect("NaN cost"))
-                .expect("non-empty");
-            let spread = if best.cost > 0.0 {
-                worst.cost / best.cost - 1.0
-            } else {
-                0.0
-            };
-            if spread <= self.agnostic_margin {
-                table.set(t, None);
-            } else {
-                table.set(t, Some(best.quantum_ns));
-            }
-        }
-        table
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,54 +91,5 @@ mod tests {
     fn distinct_quanta_sorted_unique() {
         let t = QuantumTable::paper_defaults();
         assert_eq!(t.distinct_quanta(), vec![MS, 90 * MS]);
-    }
-
-    #[test]
-    fn calibrator_picks_argmin() {
-        let pts = vec![
-            SweepPoint {
-                vtype: VcpuType::Llcf,
-                quantum_ns: MS,
-                cost: 1.5,
-            },
-            SweepPoint {
-                vtype: VcpuType::Llcf,
-                quantum_ns: 30 * MS,
-                cost: 1.0,
-            },
-            SweepPoint {
-                vtype: VcpuType::Llcf,
-                quantum_ns: 90 * MS,
-                cost: 0.9,
-            },
-        ];
-        let t = Calibrator::default().build_table(&pts);
-        assert_eq!(t.best_for(VcpuType::Llcf), Some(90 * MS));
-    }
-
-    #[test]
-    fn calibrator_detects_agnostic_types() {
-        let pts = vec![
-            SweepPoint {
-                vtype: VcpuType::Llco,
-                quantum_ns: MS,
-                cost: 1.02,
-            },
-            SweepPoint {
-                vtype: VcpuType::Llco,
-                quantum_ns: 90 * MS,
-                cost: 1.00,
-            },
-        ];
-        let t = Calibrator::default().build_table(&pts);
-        assert_eq!(t.best_for(VcpuType::Llco), None);
-    }
-
-    #[test]
-    fn unmeasured_types_stay_agnostic() {
-        let t = Calibrator::default().build_table(&[]);
-        for ty in VcpuType::ALL {
-            assert_eq!(t.best_for(ty), None);
-        }
     }
 }

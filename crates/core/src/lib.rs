@@ -10,10 +10,10 @@
 //! * [`vtrs`] — the online vCPU Type Recognition System: a sliding
 //!   window of `n = 4` cursor rows per vCPU; the type is the cursor
 //!   with the highest window average.
-//! * [`calibration`] — the offline quantum-length calibration (§3.4):
-//!   the best-quantum table (`IOInt` → 1 ms, `ConSpin` → 1 ms,
-//!   `LLCF` → 90 ms, `LoLCF`/`LLCO` agnostic) plus a generic
-//!   calibrator that recomputes it from sweep measurements.
+//! * [`calibration`] — the result of the offline quantum-length
+//!   calibration (§3.4): AQL runs the published best-quantum table
+//!   (`IOInt` → 1 ms, `ConSpin` → 1 ms, `LLCF` → 90 ms, `LoLCF`/`LLCO`
+//!   agnostic); `repro fig2*` re-runs the sweep behind it.
 //! * [`clustering`] — the two-level clustering of §3.5: Algorithm 1
 //!   spreads trashing and non-trashing vCPUs across sockets,
 //!   Algorithm 2 groups quantum-length-compatible vCPUs into per-pCPU
@@ -30,7 +30,7 @@ pub mod cursors;
 pub mod vtrs;
 
 pub use aql::{AqlSched, AqlSchedConfig};
-pub use calibration::{Calibrator, QuantumTable};
+pub use calibration::QuantumTable;
 pub use clustering::{cluster_machine, ClusterInfo, ClusterPlan, VcpuDesc};
 pub use cursors::{CursorLimits, Cursors};
 pub use vtrs::{Vtrs, VtrsConfig};

@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--quick] [--threads N] [--time-mode M] [--bench-json PATH] <command>...
+//! repro [--quick] [--threads N] [--time-mode M] <command>...
 //!
 //! commands:
 //!   fig2            calibration panels (a)-(f) + lock-duration inset
@@ -31,9 +31,6 @@
 //!                     across thread counts)
 //!   --time-mode M     adaptive (default) or dense time advance;
 //!                     output is byte-identical across modes
-//!   --bench-json PATH record this invocation's wall time under a
-//!                     "repro_…" key in the given JSON file (the CI
-//!                     smoke tracks BENCH_sweep.json)
 //!   --max-cell-wall D wall-clock budget per experiment cell
 //!                     (`30s`, `500ms`, …; default: unlimited)
 //!   --retries N       retry environmental (wall-budget) cell
@@ -51,11 +48,8 @@
 
 use std::process::ExitCode;
 
-use aql_experiments::emit::{save_and_print, update_bench_json};
-use aql_experiments::json::Json;
-use aql_experiments::plan::flag_value;
+use aql_experiments::emit::save_and_print;
 use aql_experiments::{ablations, fig2, fig4, fig5, fig6, fig7, fig8, tables, ExecOpts, Table};
-use aql_scenarios::TimeMode;
 
 /// Regenerates one artifact from the `--quick` flag and the execution
 /// options.
@@ -111,7 +105,7 @@ const ALL: [&str; 14] = [
 fn usage() {
     eprintln!(
         "usage: repro [--quick] [--threads N] \
-         [--time-mode adaptive|dense] [--bench-json PATH] \
+         [--time-mode adaptive|dense] \
          [--max-cell-wall DUR] [--retries N] [--journal PATH] [--resume] \
          <command>..."
     );
@@ -123,7 +117,6 @@ fn usage() {
 struct Cli<'a> {
     quick: bool,
     opts: ExecOpts,
-    bench_json: Option<&'a str>,
     /// The artifacts to run, in order.
     cmds: Vec<(&'a str, Artifact)>,
 }
@@ -135,14 +128,12 @@ struct Cli<'a> {
 fn parse_args(args: &[String]) -> Result<Cli<'_>, String> {
     let mut quick = false;
     let mut opts = ExecOpts::default();
-    let mut bench_json = None;
     let mut all = false;
     let mut cmds = Vec::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--bench-json" => bench_json = Some(flag_value(&mut args, arg)?),
             "all" => all = true,
             flag if opts.parse_flag(flag, &mut args)? => {}
             flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
@@ -159,12 +150,7 @@ fn parse_args(args: &[String]) -> Result<Cli<'_>, String> {
             .map(|&cmd| (cmd, artifact(cmd).expect("ALL lists known commands")))
             .collect();
     }
-    Ok(Cli {
-        quick,
-        opts,
-        bench_json,
-        cmds,
-    })
+    Ok(Cli { quick, opts, cmds })
 }
 
 fn main() -> ExitCode {
@@ -187,7 +173,6 @@ fn main() -> ExitCode {
     // with its classification instead of panicking mid-fold.
     cli.opts.fail_fast = true;
     let (quick, opts) = (cli.quick, &cli.opts);
-    let t0 = std::time::Instant::now();
     for &(c, run) in &cli.cmds {
         eprintln!(">> {c}{}", if quick { " (quick)" } else { "" });
         // `fail_fast` surfaces a failed cell by re-raising it out of
@@ -205,38 +190,6 @@ fn main() -> ExitCode {
                 eprintln!("error: {c}: {msg}");
                 return ExitCode::FAILURE;
             }
-        }
-    }
-    if let Some(path) = cli.bench_json {
-        // One key per (quick, threads, time-mode) shape so the CI
-        // smoke can record the 1-thread and N-thread runs side by
-        // side, and a dense-oracle run cannot overwrite an adaptive
-        // timing.
-        let key = format!(
-            "repro_{}threads{}{}",
-            if quick { "quick_" } else { "" },
-            if opts.threads == 0 {
-                "auto".to_string()
-            } else {
-                opts.threads.to_string()
-            },
-            if opts.time_mode == TimeMode::Dense {
-                "_dense"
-            } else {
-                ""
-            }
-        );
-        let value = Json::obj([
-            ("commands", Json::uint(cli.cmds.len() as u64)),
-            (
-                "wall_ms",
-                Json::decimal(t0.elapsed().as_secs_f64() * 1e3, 3),
-            ),
-        ]);
-        if let Err(e) = update_bench_json(std::path::Path::new(path), &key, value) {
-            eprintln!("warning: could not update {path}: {e}");
-        } else {
-            eprintln!("(recorded {key} in {path})");
         }
     }
     ExitCode::SUCCESS

@@ -24,9 +24,7 @@
 //!                       count so the subset advances PR over PR)
 //!   --bench-json PATH   with `both`, write the timing comparison as
 //!                       JSON (the CI perf-smoke writes
-//!                       BENCH_sweep.json); otherwise record this
-//!                       run's wall time (and failure count) under a
-//!                       `sweep[_quick][_filesN][_dense]` key
+//!                       BENCH_sweep.json)
 //!   --scenario-file F   sweep scenario documents parsed from the
 //!                       given files (comma-separated) instead of the
 //!                       catalog; combine with --scenarios to add
@@ -59,7 +57,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use aql_experiments::emit::{save_and_print, update_bench_json};
+use aql_experiments::emit::save_and_print;
 use aql_experiments::json::Json;
 use aql_experiments::plan::{flag_value, number_value};
 use aql_experiments::sweep::{run_sweep, run_sweep_on, SweepConfig, SweepOutcome};
@@ -257,6 +255,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     dense-oracle comparison matrix)"
             .to_string());
     }
+    if bench_json.is_some() && !compare_modes {
+        return Err("--bench-json requires --time-mode both (it writes the \
+                    time-mode comparison)"
+            .to_string());
+    }
     if compare_modes && !file_specs.is_empty() {
         return Err("--scenario-file cannot combine with --time-mode both".to_string());
     }
@@ -394,43 +397,6 @@ fn main() -> ExitCode {
                 println!("\n{} cell(s) failed (contained):", failures.len());
                 for f in &failures {
                     println!("  {f}");
-                }
-            }
-            if let Some(path) = &cli.bench_json {
-                // Plain-mode benchmark record: one key per
-                // (quick, scenario-files, time-mode) shape, so the
-                // fault-injection smoke (file-driven) cannot clobber a
-                // catalog record, nor a dense run an adaptive one.
-                let key = format!(
-                    "sweep{}{}{}",
-                    if cli.cfg.quick { "_quick" } else { "" },
-                    if cli.file_specs.is_empty() {
-                        String::new()
-                    } else {
-                        format!("_files{}", cli.file_specs.len())
-                    },
-                    if cli.cfg.exec.time_mode == TimeMode::Dense {
-                        "_dense"
-                    } else {
-                        ""
-                    }
-                );
-                let scenario_count = if cli.file_specs.is_empty() {
-                    cli.names.len()
-                } else if cli.names_explicit {
-                    cli.file_specs.len() + cli.names.len()
-                } else {
-                    cli.file_specs.len()
-                };
-                let value = Json::obj([
-                    ("scenarios", Json::uint(scenario_count as u64)),
-                    ("wall_ms", ms(outcome.total_wall_ns())),
-                    ("failed_cells", Json::uint(failures.len() as u64)),
-                ]);
-                if let Err(e) = update_bench_json(std::path::Path::new(path), &key, value) {
-                    eprintln!("warning: could not update {path}: {e}");
-                } else {
-                    println!("(recorded {key} in {path})");
                 }
             }
             ExitCode::SUCCESS

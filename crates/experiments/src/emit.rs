@@ -1,11 +1,8 @@
-//! Result emission: aligned stdout tables, CSV files and the
-//! `BENCH_sweep.json` record.
+//! Result emission: aligned stdout tables and CSV files.
 
 use std::fs;
-use std::io::{self, ErrorKind, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-use crate::json::Json;
 
 /// A simple aligned table with a title, headers and string rows.
 #[derive(Debug, Clone)]
@@ -149,28 +146,6 @@ pub fn save_and_print(tables: &[Table]) {
     }
 }
 
-/// Sets the top-level `key` of the JSON object in the file at `path`
-/// to `value`, creating the file when it does not exist (the `sweep`
-/// and `repro` binaries share `BENCH_sweep.json` through this). An
-/// existing entry for `key` is dropped and the new one appended; the
-/// file is rewritten in the [`Json::to_pretty`] layout. A file that
-/// does not parse as a JSON object is an `InvalidData` error and is
-/// left untouched.
-pub fn update_bench_json(path: &Path, key: &str, value: Json) -> io::Result<()> {
-    let mut fields = match fs::read_to_string(path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(Json::Obj(fields)) => fields,
-            Ok(_) => return Err(io::Error::new(ErrorKind::InvalidData, "not a JSON object")),
-            Err(e) => return Err(io::Error::new(ErrorKind::InvalidData, e)),
-        },
-        Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    fields.retain(|(k, _)| k != key);
-    fields.push((key.to_string(), value));
-    fs::write(path, Json::Obj(fields).to_pretty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,74 +206,5 @@ mod tests {
         let mut t = Table::new("nl", &["v"]);
         t.row(vec!["two\nlines".into()]);
         assert_eq!(t.to_csv(), "v\n\"two\nlines\"\n");
-    }
-
-    fn wall(ms: f64) -> Json {
-        Json::obj([("wall_ms", Json::decimal(ms, 3))])
-    }
-
-    /// A fresh scratch file for one bench-json test.
-    fn bench_file(test: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("aql_bench_json_{test}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("bench.json")
-    }
-
-    #[test]
-    fn bench_json_inserts_and_replaces_keys() {
-        let path = bench_file("upsert");
-        // Creates the file when missing.
-        update_bench_json(&path, "alpha", wall(1.5)).unwrap();
-        let doc = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(doc, "{\n  \"alpha\": {\"wall_ms\": 1.500}\n}\n");
-        // Adds a second key next to an existing one with nested
-        // arrays/objects left intact.
-        std::fs::write(
-            &path,
-            "{\n  \"speedup\": 1.2,\n  \"per_scenario\": [\n    {\"a\": 1}\n  ]\n}\n",
-        )
-        .unwrap();
-        update_bench_json(&path, "repro", wall(3.25)).unwrap();
-        let doc = std::fs::read_to_string(&path).unwrap();
-        assert!(doc.contains("\"speedup\": 1.2"), "{doc}");
-        assert!(doc.contains("{\"a\": 1}"), "{doc}");
-        assert!(doc.contains("\"repro\": {\"wall_ms\": 3.250}"), "{doc}");
-        // Replaces on re-record instead of duplicating.
-        update_bench_json(&path, "repro", wall(4.0)).unwrap();
-        let doc = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(doc.matches("\"repro\"").count(), 1, "{doc}");
-        assert!(doc.contains("{\"wall_ms\": 4.000}"), "{doc}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// Updating a file holding `text` fails and leaves it as it was.
-    fn assert_left_untouched(test: &str, text: &str) {
-        let path = bench_file(test);
-        std::fs::write(&path, text).unwrap();
-        let err = update_bench_json(&path, "k", wall(1.0)).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::InvalidData);
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn bench_json_leaves_unparseable_text_untouched() {
-        assert_left_untouched("reversed", "}{");
-    }
-
-    #[test]
-    fn bench_json_leaves_a_top_level_array_untouched() {
-        assert_left_untouched("array", r#"[{"a": 1}, {"b": 2}]"#);
-    }
-
-    #[test]
-    fn bench_json_escapes_keys() {
-        let path = bench_file("escape");
-        update_bench_json(&path, "we\"ird", wall(1.0)).unwrap();
-        let doc = std::fs::read_to_string(&path).unwrap();
-        assert!(doc.contains(r#""we\"ird": {"#), "{doc}");
-        assert_eq!(Json::parse(&doc).unwrap().get("we\"ird"), Some(&wall(1.0)));
-        let _ = std::fs::remove_file(&path);
     }
 }

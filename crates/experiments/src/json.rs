@@ -1,7 +1,8 @@
-//! The harness's one JSON codec: the journal lines, `BENCH_sweep.json`
-//! and the `sweep --time-mode both` timing document all go through it.
+//! The harness's one JSON codec: the journal lines and the `sweep
+//! --time-mode both` timing document (`BENCH_sweep.json`) both go
+//! through it.
 //!
-//! It supports only what those three need — objects, arrays, strings,
+//! It supports only what those two need — objects, arrays, strings,
 //! numbers and booleans. A [`Number`] keeps its JSON text, so a `u64`
 //! stays exact and a parsed file writes back unchanged. There are two
 //! layouts over one string-escaping routine:

@@ -162,6 +162,12 @@ pub struct Simulation {
     /// in-tree workload; fault injection (`coalesce-break`) drives it
     /// up to prove the recovery path, and tests assert on it.
     contract_breaks: u64,
+    /// How many grid windows (one fast-forwarded sub-step) a slot's
+    /// broken [`Horizon`](crate::workload::Horizon) promise cut short,
+    /// each finished through the dense continuation. Zero for every
+    /// in-tree workload; fault injection (`horizon-lie`) drives it up,
+    /// and tests assert on it.
+    horizon_breaks: u64,
     /// Trace log (enable via [`SimulationBuilder::trace`]).
     pub trace: TraceLog,
     tick_count: u64,
@@ -198,6 +204,14 @@ impl Simulation {
     /// `coalesce-break` fault, proving the recovery is exercised.
     pub fn coalesce_break_count(&self) -> u64 {
         self.contract_breaks
+    }
+
+    /// How many fast-forwarded grid sub-steps a broken horizon promise
+    /// cut short, each finished through the dense recovery path. Zero
+    /// for honest workloads; the fault-injection tests assert it moves
+    /// under a `horizon-lie` fault, proving the recovery is exercised.
+    pub fn horizon_break_count(&self) -> u64 {
+        self.horizon_breaks
     }
 
     /// Runs until `end` (absolute simulated time). A no-op when `end`

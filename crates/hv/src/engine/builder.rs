@@ -154,6 +154,7 @@ impl SimulationBuilder {
             rate_cache: aql_mem::RateCache::new(vcpu_count),
             budget: None,
             contract_breaks: 0,
+            horizon_breaks: 0,
             trace,
             tick_count: 0,
             measure_start: SimTime::ZERO,

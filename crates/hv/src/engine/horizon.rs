@@ -73,10 +73,12 @@
 //! through the dense [`Simulation::advance_pcpu_from`] continuation —
 //! the exact code the dense loop would have run — and abandons the
 //! span, so even a lying horizon cannot cause divergence, only lost
-//! speed. A broken *coalesce* contract — unreachable for the in-tree
-//! workloads, reachable on purpose through fault injection — is
-//! counted ([`Simulation::coalesce_break_count`]), traced, and
-//! likewise completed through the dense continuation at span scale.
+//! speed. Each such grid window is counted
+//! ([`Simulation::horizon_break_count`]). A broken *coalesce* contract
+//! — unreachable for the in-tree workloads, reachable on purpose
+//! through fault injection — is counted
+//! ([`Simulation::coalesce_break_count`]), traced, and likewise
+//! completed through the dense continuation at span scale.
 
 use aql_sim::time::{whole_steps, SimTime};
 
@@ -285,6 +287,8 @@ impl Simulation {
                         s.vm, s.slot
                     )
                 });
+            } else {
+                self.horizon_breaks += 1;
             }
             // Flush the span accounting, replay the dense stop-reason
             // handling for this chunk and finish the window densely for

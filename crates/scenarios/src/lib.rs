@@ -19,7 +19,7 @@
 //! The multi-threaded sweep runner that fans a scenario × policy ×
 //! seed matrix across cores lives in `aql_experiments::sweep` (it
 //! needs the table machinery); this crate stays below it so examples,
-//! tests and benches can all load scenarios without pulling the
+//! tests and the benchmark can all load scenarios without pulling the
 //! experiment harness in.
 
 #![warn(missing_docs)]

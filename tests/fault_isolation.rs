@@ -123,11 +123,13 @@ fn blocking_server_scenarios(fault: Option<&str>) -> [ScenarioSpec; 2] {
     ]
 }
 
-/// `spec` under `xen-credit` in `mode`.
-fn run_xen(spec: &ScenarioSpec, mode: TimeMode, coalesce: bool) -> RunReport {
+/// `spec` under `xen-credit` in `mode`; returns the report and how
+/// many grid windows a broken horizon promise cut short.
+fn run_xen(spec: &ScenarioSpec, mode: TimeMode, coalesce: bool) -> (RunReport, u64) {
     let policy = parse_policy("xen-credit").unwrap();
-    build_sim_seeded_tuned(spec, policy.build(spec), spec.seed, mode, coalesce)
-        .run_measured(spec.warmup_ns, spec.measure_ns)
+    let mut sim = build_sim_seeded_tuned(spec, policy.build(spec), spec.seed, mode, coalesce);
+    let report = sim.run_measured(spec.warmup_ns, spec.measure_ns);
+    (report, sim.horizon_break_count())
 }
 
 #[test]
@@ -140,16 +142,28 @@ fn horizon_lie_is_absorbed_bitwise_on_the_grid_path() {
         .iter()
         .zip(&honest)
     {
-        let flat = format!("{:?}", run_xen(lied, TimeMode::Adaptive, false));
+        let (flat, breaks) = run_xen(lied, TimeMode::Adaptive, false);
+        let (honest_flat, honest_breaks) = run_xen(honest, TimeMode::Adaptive, false);
+        assert!(
+            breaks > 0,
+            "{}: the lie must actually break a grid window's horizon",
+            lied.name
+        );
+        assert_eq!(
+            honest_breaks, 0,
+            "{}: an honest server keeps its horizon promise",
+            honest.name
+        );
+        let flat = format!("{flat:?}");
         assert_eq!(
             flat,
-            format!("{:?}", run_xen(honest, TimeMode::Adaptive, false)),
+            format!("{honest_flat:?}"),
             "{}: a lying horizon must not change a single result bit",
             lied.name
         );
         assert_eq!(
             flat,
-            format!("{:?}", run_xen(lied, TimeMode::Dense, false)),
+            format!("{:?}", run_xen(lied, TimeMode::Dense, false).0),
             "{}: the recovered grid path must replay the dense oracle",
             lied.name
         );
@@ -163,9 +177,15 @@ fn horizon_lie_stays_within_tolerance_when_coalescing() {
         .iter()
         .zip(&honest)
     {
+        let (coalesced, breaks) = run_xen(lied, TimeMode::Adaptive, true);
+        assert!(
+            breaks > 0,
+            "{}: the lie must actually break a grid window's horizon",
+            lied.name
+        );
         assert_reports_conform(
-            &run_xen(honest, TimeMode::Adaptive, true),
-            &run_xen(lied, TimeMode::Adaptive, true),
+            &run_xen(honest, TimeMode::Adaptive, true).0,
+            &coalesced,
             REL_TOL,
             &format!("{}: horizon-lie vs honest (coalesced)", lied.name),
         );

@@ -112,7 +112,7 @@ fn uncoalesced_adaptive_is_byte_identical_to_dense_on_the_catalog() {
 #[test]
 #[ignore = "heavy in debug builds; ci.sh runs it in release"]
 fn every_catalog_cell_replays_dense_bitwise_on_the_grid_path() {
-    use aql_sched::scenarios::{run_seeded_tuned, POLICY_NAMES};
+    use aql_sched::scenarios::{build_sim_seeded_tuned, POLICY_NAMES};
     for name in catalog::names() {
         let spec = catalog::load(name).expect("catalog entry").quick();
         for policy in POLICY_NAMES {
@@ -121,12 +121,19 @@ fn every_catalog_cell_replays_dense_bitwise_on_the_grid_path() {
             }
             let run = |mode: TimeMode| {
                 let p = policy_for(&spec, policy).expect("known policy");
-                format!("{:?}", run_seeded_tuned(&spec, p, spec.seed, mode, false))
+                let mut sim = build_sim_seeded_tuned(&spec, p, spec.seed, mode, false);
+                let report = sim.run_measured(spec.warmup_ns, spec.measure_ns);
+                (format!("{report:?}"), sim.horizon_break_count())
             };
+            let (adaptive, breaks) = run(TimeMode::Adaptive);
             assert_eq!(
-                run(TimeMode::Dense),
-                run(TimeMode::Adaptive),
+                run(TimeMode::Dense).0,
+                adaptive,
                 "grid-path time modes diverged on {name} under {policy}"
+            );
+            assert_eq!(
+                breaks, 0,
+                "{name} under {policy}: an in-tree workload broke its horizon promise"
             );
         }
     }
