@@ -1,24 +1,18 @@
-//! The harness's one JSON codec: the journal lines and the `sweep
-//! --time-mode both` timing document (`BENCH_sweep.json`) both go
-//! through it.
+//! The harness's one JSON codec: it writes and reads the lines of the
+//! resume journal ([`crate::journal`]).
 //!
-//! It supports only what those two need — objects, arrays, strings,
-//! numbers and booleans. A [`Number`] keeps its JSON text, so a `u64`
-//! stays exact and a parsed file writes back unchanged. There are two
-//! layouts over one string-escaping routine:
-//!
-//! * [`Json::to_line`] — the whole value on one line, no spaces (the
-//!   journal's JSONL);
-//! * [`Json::to_pretty`] — the `BENCH_sweep.json` layout: a container
-//!   holding only scalars on one line (`{"a": 1, "b": 2}`), any other
-//!   container one member per line, indented by two spaces per level.
+//! It supports only what the journal needs — objects, arrays, strings
+//! and numbers. A [`Number`] keeps its JSON text, so a `u64` stays
+//! exact and a parsed line writes back unchanged. [`Json::to_line`]
+//! writes the whole value on one line with no spaces (the journal's
+//! JSONL).
 //!
 //! The parser scans each string once and refuses input nested deeper
 //! than [`MAX_DEPTH`], so corrupt input returns an error instead of
 //! overflowing the stack.
 
 /// Deepest container nesting the parser accepts. A journal line nests
-/// five levels and `BENCH_sweep.json` three.
+/// five levels.
 pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
@@ -32,12 +26,10 @@ pub enum Json {
     Str(String),
     /// A number.
     Num(Number),
-    /// `true` or `false`.
-    Bool(bool),
 }
 
-/// A JSON number, held as its JSON text. Built by [`Json::uint`],
-/// [`Json::decimal`] or the parser, so the text is always valid.
+/// A JSON number, held as its JSON text. Built by [`Json::uint`] or
+/// the parser, so the text is always valid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Number(String);
 
@@ -55,13 +47,6 @@ impl Json {
     /// An unsigned integer, exact over the whole `u64` range.
     pub fn uint(n: u64) -> Json {
         Json::Num(Number(n.to_string()))
-    }
-
-    /// `x` with `places` digits after the decimal point; `x` must be
-    /// finite.
-    pub fn decimal(x: f64, places: usize) -> Json {
-        debug_assert!(x.is_finite(), "JSON has no NaN or infinity");
-        Json::Num(Number(format!("{x:.places$}")))
     }
 
     /// The member `key` of an object (the first, if repeated).
@@ -110,25 +95,11 @@ impl Json {
     /// The one-line layout (no spaces, no trailing newline).
     pub fn to_line(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None);
+        self.write(&mut out);
         out
     }
 
-    /// The `BENCH_sweep.json` layout, ending in a newline.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(0));
-        out.push('\n');
-        out
-    }
-
-    fn is_container(&self) -> bool {
-        matches!(self, Json::Obj(_) | Json::Arr(_))
-    }
-
-    /// Writes `self` on one line when `indent` is `None`, else in the
-    /// pretty layout with the value's own line indented by `indent`.
-    fn write(&self, out: &mut String, indent: Option<usize>) {
+    fn write(&self, out: &mut String) {
         let (open, close, members): (char, char, Vec<(Option<&str>, &Json)>) = match self {
             Json::Obj(fields) => (
                 '{',
@@ -138,42 +109,23 @@ impl Json {
             Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
             Json::Str(s) => return write_str(s, out),
             Json::Num(Number(text)) => return out.push_str(text),
-            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
-        };
-        // One member per line only in the pretty layout, and only when
-        // some member is itself a container.
-        let nested = indent.filter(|_| members.iter().any(|(_, v)| v.is_container()));
-        let (sep, colon) = match (indent, nested) {
-            (None, _) => (",", ":"),
-            (Some(_), None) => (", ", ": "),
-            (Some(_), Some(_)) => (",", ": "),
-        };
-        let newline = |out: &mut String, level: usize| {
-            out.push('\n');
-            out.push_str(&" ".repeat(level));
         };
         out.push(open);
         for (i, (key, value)) in members.iter().enumerate() {
             if i > 0 {
-                out.push_str(sep);
-            }
-            if let Some(level) = nested {
-                newline(out, level + 2);
+                out.push(',');
             }
             if let Some(key) = key {
                 write_str(key, out);
-                out.push_str(colon);
+                out.push(':');
             }
-            value.write(out, nested.map(|level| level + 2).or(indent));
-        }
-        if let Some(level) = nested {
-            newline(out, level);
+            value.write(out);
         }
         out.push(close);
     }
 }
 
-/// The escaping both layouts share.
+/// Writes `s` as a JSON string literal.
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -247,8 +199,6 @@ impl Parser<'_> {
             Some(b'[') => self.members(b']', |p| p.value(depth + 1)).map(Json::Arr),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            _ if self.eat("true") => Ok(Json::Bool(true)),
-            _ if self.eat("false") => Ok(Json::Bool(false)),
             _ => self.fail("expected a value"),
         }
     }
@@ -374,40 +324,23 @@ mod tests {
     use proptest::TestRng;
 
     #[test]
-    fn layouts() {
+    fn line_layout() {
         let doc = Json::obj([
             ("n", Json::uint(u64::MAX)),
-            (
-                "flags",
-                Json::Arr(vec![Json::Bool(true), Json::Bool(false)]),
-            ),
+            ("ids", Json::Arr(vec![Json::uint(0), Json::uint(7)])),
             (
                 "rows",
                 Json::Arr(vec![
-                    Json::obj([
-                        ("k", Json::Str("a\"b".into())),
-                        ("v", Json::decimal(1.5, 3)),
-                    ]),
+                    Json::obj([("k", Json::Str("a\"b".into())), ("v", Json::Arr(vec![]))]),
                     Json::obj([]),
                 ]),
             ),
         ]);
         assert_eq!(
             doc.to_line(),
-            r#"{"n":18446744073709551615,"flags":[true,false],"rows":[{"k":"a\"b","v":1.500},{}]}"#
-        );
-        assert_eq!(
-            doc.to_pretty(),
-            "{\n  \"n\": 18446744073709551615,\n  \"flags\": [true, false],\n  \"rows\": [\n    \
-             {\"k\": \"a\\\"b\", \"v\": 1.500},\n    {}\n  ]\n}\n"
+            r#"{"n":18446744073709551615,"ids":[0,7],"rows":[{"k":"a\"b","v":[]},{}]}"#
         );
         assert_eq!(doc.get("n").and_then(Json::as_u64), Some(u64::MAX));
-    }
-
-    #[test]
-    fn the_committed_bench_file_writes_back_unchanged() {
-        let text = include_str!("../../../BENCH_sweep.json");
-        assert_eq!(Json::parse(text).unwrap().to_pretty(), text);
     }
 
     #[test]
@@ -453,8 +386,9 @@ mod tests {
         assert!(Json::parse(&over).is_err());
     }
 
-    /// Random values: strings drawn to hit every escape, numbers from
-    /// both constructors, containers nested up to four levels.
+    /// Random values: strings drawn to hit every escape, integers from
+    /// [`Json::uint`] and decimals from the parser, containers nested
+    /// up to four levels.
     struct AnyJson;
 
     fn any_string(rng: &mut TestRng) -> String {
@@ -467,12 +401,12 @@ mod tests {
     }
 
     fn any_json(rng: &mut TestRng, depth: usize) -> Json {
-        match rng.index(if depth == 0 { 4 } else { 6 }) {
+        match rng.index(if depth == 0 { 3 } else { 5 }) {
             0 => Json::Str(any_string(rng)),
             1 => Json::uint(rng.next_u64() >> rng.index(64)),
-            2 => Json::decimal((rng.unit() - 0.5) * 1e6, rng.index(5)),
-            3 => Json::Bool(rng.index(2) == 1),
-            4 => Json::Arr(
+            2 => Json::parse(&format!("{:.*}", rng.index(5), (rng.unit() - 0.5) * 1e6))
+                .expect("a formatted finite f64 is a JSON number"),
+            3 => Json::Arr(
                 (0..rng.index(4))
                     .map(|_| any_json(rng, depth - 1))
                     .collect(),
@@ -497,9 +431,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn values_survive_write_then_parse_in_both_layouts(v in AnyJson) {
+        fn values_survive_write_then_parse(v in AnyJson) {
             prop_assert_eq!(Json::parse(&v.to_line()).as_ref(), Ok(&v));
-            prop_assert_eq!(Json::parse(&v.to_pretty()).as_ref(), Ok(&v));
             prop_assert!(!v.to_line().contains('\n'));
         }
     }

@@ -32,7 +32,7 @@
 //! time-advance modes; `tests/figure_goldens.rs` pins every table
 //! against committed goldens. Both binaries share one execution-flag
 //! parser ([`ExecOpts::parse_flag`]) and one JSON codec ([`json`]),
-//! which writes the resume [`journal`] and `BENCH_sweep.json`.
+//! which writes the resume [`journal`].
 
 #![warn(missing_docs)]
 

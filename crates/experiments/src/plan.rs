@@ -166,7 +166,8 @@ pub struct ExecOpts {
     pub time_mode: TimeMode,
     /// Whether the adaptive mode may coalesce quiescent-span chunks
     /// (default on). Off pins the grid-replaying fast path that is
-    /// bit-identical to `Dense` — the CI bench's perf baseline.
+    /// bit-identical to `Dense`: the flat mode of the conformance
+    /// tests and of perfbench's `horizon.flat_s`.
     pub coalesce: bool,
     /// Re-raise the first cell failure instead of recording it —
     /// the pre-containment behaviour, for CI gates that prefer an

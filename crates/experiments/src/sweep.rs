@@ -78,34 +78,14 @@ impl Default for SweepConfig {
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// Every cell's result, in matrix order (scenario-major, then
-    /// seed, then policy). A cell's `wall_ns` never enters the table —
-    /// it would break byte-stability — but perf tooling (`sweep
-    /// --time-mode both`, `BENCH_sweep.json`) sums it.
+    /// seed, then policy). A cell's `wall_ns` never enters the table:
+    /// it would break byte-stability.
     pub results: Vec<CellResult>,
-    /// Cells per scenario (seeds × policies): result `i` belongs to
-    /// scenario `i / per_scenario`.
-    pub per_scenario: usize,
     /// The aggregated comparison table.
     pub table: Table,
 }
 
 impl SweepOutcome {
-    /// Total simulation wall time across all cells, in nanoseconds.
-    /// (Not elapsed time: cells running on parallel workers overlap.)
-    pub fn total_wall_ns(&self) -> u64 {
-        self.results.iter().map(|r| r.wall_ns).sum()
-    }
-
-    /// Per-scenario simulation wall time in matrix (scenario) order:
-    /// element `i` is scenario `i`'s wall-time sum over its seeds and
-    /// policies.
-    pub fn wall_ns_by_scenario(&self) -> Vec<u64> {
-        self.results
-            .chunks(self.per_scenario)
-            .map(|cells| cells.iter().map(|r| r.wall_ns).sum())
-            .collect()
-    }
-
     /// Every contained cell failure, in matrix order.
     pub fn failures(&self) -> Vec<&CellFailure> {
         self.results
@@ -149,11 +129,7 @@ pub fn run_sweep_on(specs: &[ScenarioSpec], cfg: &SweepConfig) -> Result<SweepOu
     }
     let results = execute(&plan(&specs, cfg), &cfg.exec)?;
     let table = aggregate(&specs, cfg, &results);
-    Ok(SweepOutcome {
-        results,
-        per_scenario: cfg.seeds * cfg.policies.len(),
-        table,
-    })
+    Ok(SweepOutcome { results, table })
 }
 
 /// Resolves catalog names and runs the matrix over them.
@@ -343,9 +319,6 @@ mod tests {
         let specs = [tiny("ok"), faulty];
         let out = run_sweep_on(&specs, &tiny_cfg(2)).unwrap();
         assert!(!out.failures().is_empty());
-        let by_scenario = out.wall_ns_by_scenario();
-        assert_eq!(by_scenario.len(), 2);
-        assert_eq!(by_scenario.iter().sum::<u64>(), out.total_wall_ns());
         assert!(
             out.table.render().contains("FAIL"),
             "{}",

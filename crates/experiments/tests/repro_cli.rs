@@ -1,7 +1,9 @@
 //! `repro` and `sweep` read their whole command line before they run
 //! anything: a bad flag or command name exits non-zero without
-//! printing a table or writing `results/` or a `--bench-json` file,
-//! wherever it sits in the argument list.
+//! printing a table or writing `results/` or the file a rejected flag
+//! names, wherever it sits in the argument list. That includes the
+//! timing flags neither binary takes (`--bench-json`, and `sweep`'s
+//! `--time-mode both`, `--oracle-sample` and `--oracle-seed`).
 
 use std::path::PathBuf;
 use std::process::{Command, ExitStatus};
@@ -45,22 +47,22 @@ fn a_bad_argument_stops_repro_before_any_artifact_runs() {
 }
 
 #[test]
-fn sweep_bench_json_without_time_mode_both_is_an_error() {
-    let args = [
-        "--quick",
-        "--scenarios",
-        "vtrs-live",
-        "--bench-json",
-        "b.json",
-    ];
-    let (status, stdout, dir) =
-        run_in_scratch(env!("CARGO_BIN_EXE_sweep"), "sweep_bench_json", &args);
-    assert_eq!(status.code(), Some(1), "{args:?} exited {status}");
-    assert!(
-        !stdout.lines().any(|l| l.starts_with("==")),
-        "{args:?} printed a table:\n{stdout}"
-    );
-    assert!(!dir.join("results").exists(), "{args:?} wrote results/");
-    assert!(!dir.join("b.json").exists(), "{args:?} wrote b.json");
-    let _ = std::fs::remove_dir_all(&dir);
+fn sweep_rejects_the_time_mode_comparison_flags() {
+    for (case, flag) in [
+        ("time_mode_both", &["--time-mode", "both"][..]),
+        ("oracle_sample", &["--oracle-sample", "5"]),
+        ("oracle_seed", &["--oracle-seed", "1"]),
+        ("bench_json", &["--bench-json", "b.json"]),
+    ] {
+        let args = [&["--quick", "--scenarios", "vtrs-live"][..], flag].concat();
+        let (status, stdout, dir) = run_in_scratch(env!("CARGO_BIN_EXE_sweep"), case, &args);
+        assert_eq!(status.code(), Some(1), "{args:?} exited {status}");
+        assert!(
+            !stdout.lines().any(|l| l.starts_with("==")),
+            "{args:?} printed a table:\n{stdout}"
+        );
+        assert!(!dir.join("results").exists(), "{args:?} wrote results/");
+        assert!(!dir.join("b.json").exists(), "{args:?} wrote b.json");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -95,7 +95,6 @@ pub enum TimeMode {
 }
 
 use aql_sim::queue::EventQueue;
-use aql_sim::rng::SimRng;
 use aql_sim::time::SimTime;
 use aql_sim::trace::TraceLog;
 
@@ -138,7 +137,6 @@ pub struct Simulation {
     policy: Box<dyn SchedPolicy>,
     queue: EventQueue<Event>,
     now: SimTime,
-    rng: SimRng,
     substep_ns: u64,
     time_mode: TimeMode,
     /// Whether the adaptive mode may coalesce a proven-quiescent span
@@ -279,24 +277,18 @@ impl Simulation {
     /// execution, a measurement reset, `measure_ns` of measured
     /// execution, and the steady-state report. Every example, scenario
     /// and figure uses this exact sequence, so reports are comparable
-    /// across all of them.
+    /// across all of them. It is [`Simulation::run_measured_budgeted`]
+    /// without a wall budget.
     ///
     /// # Panics
     ///
-    /// In debug builds, when the report breaks an engine invariant
-    /// (time conservation, busy time within the window, finite
-    /// metrics): the checks [`Simulation::run_measured_budgeted`]
-    /// returns as an error.
+    /// When a vCPU livelocks (the sentinel that fails a budgeted run)
+    /// or the report breaks an engine invariant (time conservation,
+    /// busy time within the window, finite metrics), with the
+    /// [`EngineError`] text.
     pub fn run_measured(&mut self, warmup_ns: u64, measure_ns: u64) -> crate::RunReport {
-        self.run_for(warmup_ns);
-        self.reset_measurements();
-        self.run_for(measure_ns);
-        let report = self.report();
-        #[cfg(debug_assertions)]
-        if let Err(e) = self.check_report_invariants(&report) {
-            panic!("{e}");
-        }
-        report
+        self.run_measured_budgeted(warmup_ns, measure_ns, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Clears all measurement state (workload metrics, CPU accounting,

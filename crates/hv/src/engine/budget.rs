@@ -1,13 +1,12 @@
 //! Run budgets and structured failure sentinels.
 //!
-//! [`Simulation::run_measured`] assumes a healthy workload: it returns
-//! a report even if a degenerate guest starves its vCPU for the whole
-//! run, and only debug builds check the report invariants (they panic
-//! when a corrupted metric poisons the summary). This module adds the
-//! budgeted variant the experiment harness uses for fault isolation:
-//! [`Simulation::run_measured_budgeted`] arms the sentinels and returns
-//! `Err(`[`EngineError`]`)` the moment one trips, instead of a
-//! silently-wrong report.
+//! [`Simulation::run_measured_budgeted`] is the measurement protocol
+//! the experiment harness uses for fault isolation: it arms the
+//! sentinels and returns `Err(`[`EngineError`]`)` the moment one
+//! trips, instead of a silently-wrong report.
+//! [`Simulation::run_measured`] runs the same protocol without a wall
+//! budget and panics with the error, for callers that drive the engine
+//! directly.
 //!
 //! Three sentinels cover the failure modes a cell can hit:
 //!
@@ -154,12 +153,12 @@ impl ArmedBudget {
 
 impl Simulation {
     /// Runs the standard measurement protocol with the sentinels armed:
-    /// the exact [`Simulation::run_measured`] sequence, except that a
-    /// livelock, a run past `max_wall` (`None` never times out) or a
-    /// report that breaks an invariant surfaces as a structured
-    /// [`EngineError`]. The watchdogs are passive observers of state the
-    /// engine maintains anyway, so a run that trips none of them
-    /// returns the same report bits as `run_measured`.
+    /// `warmup_ns` of execution, a measurement reset, `measure_ns` of
+    /// measured execution and the report, except that a livelock, a run
+    /// past `max_wall` (`None` never times out) or a report that breaks
+    /// an invariant surfaces as a structured [`EngineError`]. The
+    /// watchdogs are passive observers of state the engine maintains
+    /// anyway, so they never change the report's bits.
     pub fn run_measured_budgeted(
         &mut self,
         warmup_ns: u64,

@@ -2,7 +2,6 @@
 //! shape, VMs with their workloads, and a scheduling policy.
 
 use aql_sim::queue::EventQueue;
-use aql_sim::rng::SimRng;
 use aql_sim::time::SimTime;
 use aql_sim::trace::TraceLog;
 
@@ -18,7 +17,6 @@ use crate::{MONITOR_PERIOD_NS, TICK_NS};
 /// Builder for [`Simulation`].
 pub struct SimulationBuilder {
     machine: MachineSpec,
-    seed: u64,
     substep_ns: u64,
     time_mode: TimeMode,
     coalesce: bool,
@@ -32,7 +30,6 @@ impl SimulationBuilder {
     pub fn new(machine: MachineSpec) -> Self {
         SimulationBuilder {
             machine,
-            seed: 1,
             substep_ns: DEFAULT_SUBSTEP_NS,
             time_mode: TimeMode::default(),
             coalesce: true,
@@ -40,12 +37,6 @@ impl SimulationBuilder {
             vms: Vec::new(),
             policy: None,
         }
-    }
-
-    /// Sets the deterministic seed (default 1).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Sets the execution sub-step (default 100 µs). Smaller values
@@ -67,8 +58,8 @@ impl SimulationBuilder {
 
     /// Enables or disables chunk coalescing inside the adaptive
     /// time-advance (default on). Off, `TimeMode::Adaptive` replays
-    /// the dense sub-step grid bit-for-bit — the PR-3 behaviour, kept
-    /// for conformance bisection and the CI perf baseline.
+    /// the dense sub-step grid bit-for-bit, kept for conformance
+    /// bisection and as the bitwise oracle's flat mode.
     pub fn coalesce(mut self, on: bool) -> Self {
         self.coalesce = on;
         self
@@ -147,7 +138,6 @@ impl SimulationBuilder {
             policy,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            rng: SimRng::seed_from(self.seed),
             substep_ns: self.substep_ns,
             time_mode: self.time_mode,
             coalesce: self.coalesce,

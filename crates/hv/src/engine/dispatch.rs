@@ -221,7 +221,6 @@ impl Simulation {
         if self.hv.pcpus[pcpu].last_vcpu != Some(vid) {
             self.hv.vcpus[vid.index()].l2_warmth = 0.0;
         }
-        self.hv.vcpus[vid.index()].last_pcpu = Some(decision.pcpu);
         self.hv.pcpus[pcpu].last_vcpu = Some(vid);
         self.hv.pcpus[pcpu].running = Some(vid);
         self.vm_running[vm][slot] = true;

@@ -157,7 +157,6 @@ impl Simulation {
             llc: &mut llcs[socket],
             pmu: &mut v.pmu,
             l2_warmth: &mut v.l2_warmth,
-            rng: &mut self.rng,
             owner: vid.index(),
             running_slots: &self.vm_running[vm],
             integrator,

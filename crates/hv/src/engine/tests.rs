@@ -534,10 +534,9 @@ fn trace_log_records_dispatches() {
 }
 
 #[test]
-fn same_seed_runs_are_bit_identical() {
+fn identical_builds_run_bit_identically() {
     let run = || {
         let mut sim = SimulationBuilder::new(machine(2))
-            .seed(7)
             .vm(VmSpec::single("a"), Box::new(Hog))
             .vm(VmSpec::single("b"), Box::new(Blinker::new(MS, 7 * MS)))
             .vm(VmSpec::single("c"), Box::new(Hog))
@@ -549,7 +548,7 @@ fn same_seed_runs_are_bit_identical() {
             r.vms.iter().map(|v| v.cpu_ns()).collect::<Vec<_>>(),
         )
     };
-    assert_eq!(run(), run(), "identical seeds must replay bit-identically");
+    assert_eq!(run(), run(), "identical builds must replay bit-identically");
 }
 
 /// A degenerate workload: always runnable, never makes progress.
@@ -618,7 +617,6 @@ fn dense_and_adaptive_agree_bit_for_bit_on_engine_mixes() {
     // workloads default to Unknown) plus blockers, on both modes.
     let run = |mode: TimeMode| {
         let mut sim = SimulationBuilder::new(machine(2))
-            .seed(11)
             .time_mode(mode)
             .vm(VmSpec::single("a"), Box::new(Hog))
             .vm(VmSpec::single("b"), Box::new(Blinker::new(MS, 7 * MS)))

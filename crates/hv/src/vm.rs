@@ -135,8 +135,6 @@ pub struct Vcpu {
     pub last_sample: PmuSample,
     /// Private-L2 warmth in `[0, 1]`.
     pub l2_warmth: f64,
-    /// pCPU that last executed this vCPU (for L2-pollution tracking).
-    pub last_pcpu: Option<PcpuId>,
     /// Total CPU time consumed over the whole run.
     pub cpu_ns: u64,
     /// Timer generation, bumped on each re-arm to invalidate stale
@@ -170,7 +168,6 @@ impl Vcpu {
             pmu: PmuCounters::new(),
             last_sample: PmuSample::default(),
             l2_warmth: 0.0,
-            last_pcpu: None,
             cpu_ns: 0,
             timer_gen: 0,
             pool_migrations: 0,

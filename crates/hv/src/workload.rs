@@ -15,7 +15,6 @@ use aql_mem::{
     exec_step, exec_step_cached, exec_step_lean, CacheSpec, ExecOutcome, LlcState, MemProfile,
     PmuCounters, RateCache,
 };
-use aql_sim::rng::SimRng;
 use aql_sim::time::SimTime;
 
 /// A workload slot's promise about its next scheduling-visible act.
@@ -61,9 +60,8 @@ pub enum Horizon {
 ///   [`StopReason::BudgetExhausted`] (no block, no yield);
 /// * execution is **pure-rate**: the slot's memory profile is at the
 ///   zero-traffic fixpoint ([`CoalesceProbe::linear_rate`]), so it
-///   mutates no shared LLC state, and the slot draws nothing from the
-///   shared [`ExecContext::rng`] and advances no state read by another
-///   *running* slot;
+///   mutates no shared LLC state, and the slot advances no state read
+///   by another *running* slot;
 /// * behaviour is therefore chunk-size invariant: one call over the
 ///   span differs from the dense chunk sequence only in the f64
 ///   summation order of accumulated metrics (the tolerance oracle's
@@ -179,8 +177,6 @@ pub struct ExecContext<'a> {
     /// The vCPU's private-L2 warmth (fraction resident), updated in
     /// place by [`ExecContext::exec_mem`].
     pub l2_warmth: &'a mut f64,
-    /// Deterministic randomness.
-    pub rng: &'a mut SimRng,
     /// LLC owner index (global vCPU index).
     pub owner: usize,
     /// Which of this VM's slots are currently on a pCPU; lets

@@ -6,16 +6,17 @@
 //!
 //! # The determinism contract
 //!
-//! A run is a pure function of `(spec, policy, base_seed)`:
+//! A run is a pure function of `(spec, policy, base_seed)`, where a
+//! plain [`run`] uses the spec's own `seed`. The engine draws no
+//! random numbers; each stochastic workload carries its own
+//! generator, seeded per VM:
 //!
-//! 1. The engine RNG is seeded with `base_seed` (for a plain
-//!    [`run`], the spec's own `seed`).
-//! 2. A VM with an explicit `seed=` keeps exactly that value when the
+//! 1. A VM with an explicit `seed=` keeps exactly that value when the
 //!    run uses the spec's declared base seed; running at a different
 //!    base *rebases* it by the same delta, so intra-scenario
 //!    de-correlation (distinct streams per VM) is preserved while
 //!    every replicate gets fresh streams.
-//! 3. A VM without `seed=` derives one from
+//! 2. A VM without `seed=` derives one from
 //!    [`derive_seed`]`("scenario/vm-name", base_seed)` — stable
 //!    across reordering of unrelated VM lines.
 //!
@@ -129,8 +130,8 @@ pub fn build_sim(spec: &ScenarioSpec, policy: Box<dyn SchedPolicy>) -> Simulatio
 /// (bit-identical u64 accounting and events, ≤1e-6 relative drift on
 /// f64 metrics from chunk coalescing). `coalesce = false` pins
 /// `TimeMode::Adaptive` to the grid-replaying fast path that is
-/// bit-identical to `Dense` — the perf baseline the CI bench records
-/// next to the coalesced default.
+/// bit-identical to `Dense`, which perfbench's `--trace 1` times as
+/// `horizon.flat_s` next to the coalesced default.
 pub fn build_sim_seeded_tuned(
     spec: &ScenarioSpec,
     policy: Box<dyn SchedPolicy>,
@@ -139,7 +140,6 @@ pub fn build_sim_seeded_tuned(
     coalesce: bool,
 ) -> Simulation {
     SimulationBuilder::new(machine(spec))
-        .seed(base_seed)
         .substep_ns(spec.substep_ns)
         .time_mode(mode)
         .coalesce(coalesce)

@@ -2,8 +2,9 @@
 //!
 //! All stochastic behaviour in the simulator (request arrivals, burst
 //! sizes, phase jitter) flows through [`SimRng`], a thin wrapper around
-//! a seeded [`rand::rngs::StdRng`]. A simulation carries exactly one
-//! `SimRng`; identical seeds yield identical traces.
+//! a seeded [`rand::rngs::StdRng`]. Each stochastic workload carries
+//! its own `SimRng`, seeded per VM, so adding a VM does not perturb the
+//! others; identical seeds yield identical traces.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -64,12 +65,6 @@ impl SimRng {
         SimRng {
             inner: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Derives an independent child generator; useful to give each VM
-    /// its own stream so adding a VM does not perturb the others.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from(self.inner.random::<u64>())
     }
 
     /// Uniform integer in `[lo, hi)`. `hi` must be greater than `lo`.
@@ -134,15 +129,6 @@ mod tests {
         let same =
             (0..32).all(|_| a.uniform_u64(0, u64::MAX - 1) == b.uniform_u64(0, u64::MAX - 1));
         assert!(!same);
-    }
-
-    #[test]
-    fn fork_is_deterministic() {
-        let mut a = SimRng::seed_from(7);
-        let mut b = SimRng::seed_from(7);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
-        assert_eq!(fa.uniform_u64(0, 100), fb.uniform_u64(0, 100));
     }
 
     #[test]

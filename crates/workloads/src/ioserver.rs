@@ -545,14 +545,12 @@ mod tests {
             let mut llc = LlcState::new(spec.llc_bytes as f64, 1);
             let mut pmu = PmuCounters::default();
             let mut warmth = 1.0;
-            let mut rng = aql_sim::rng::SimRng::seed_from(5);
             let mut ctx = ExecContext {
                 now,
                 spec: &spec,
                 llc: &mut llc,
                 pmu: &mut pmu,
                 l2_warmth: &mut warmth,
-                rng: &mut rng,
                 owner: 0,
                 running_slots: &[true],
                 integrator: aql_hv::workload::Integrator::Dense,

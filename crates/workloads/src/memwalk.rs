@@ -328,7 +328,6 @@ mod tests {
         let mut llc = aql_mem::LlcState::new(spec.llc_bytes as f64, 1);
         let mut pmu = aql_mem::PmuCounters::new();
         let mut warmth = 0.0;
-        let mut rng = aql_sim::rng::SimRng::seed_from(1);
         let running = vec![true];
         let mut ctx = aql_hv::workload::ExecContext {
             now: SimTime::ZERO,
@@ -336,7 +335,6 @@ mod tests {
             llc: &mut llc,
             pmu: &mut pmu,
             l2_warmth: &mut warmth,
-            rng: &mut rng,
             owner: 0,
             running_slots: &running,
             integrator: aql_hv::workload::Integrator::Dense,

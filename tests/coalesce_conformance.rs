@@ -149,9 +149,8 @@ fn run_random(
     measure_ns: u64,
 ) -> aql_sched::hv::RunReport {
     let cache = CacheSpec::i7_3770();
-    let mut b = SimulationBuilder::new(MachineSpec::custom("rand", sockets, cores, cache))
-        .seed(seed)
-        .time_mode(mode);
+    let mut b =
+        SimulationBuilder::new(MachineSpec::custom("rand", sockets, cores, cache)).time_mode(mode);
     for (i, &k) in kinds.iter().enumerate() {
         let (spec, wl) = random_vm(k, i, seed.wrapping_add(i as u64 * 7919), &cache);
         b = b.vm(spec, wl);

@@ -188,7 +188,6 @@ fn simulations_are_deterministic() {
     let run = || {
         let spec = CacheSpec::i7_3770();
         let mut sim = SimulationBuilder::new(four_core())
-            .seed(99)
             .policy(Box::new(AqlSched::paper_defaults()))
             .vm(
                 VmSpec::single("web"),

@@ -74,12 +74,11 @@ fn build_vm(kind: Kind, i: usize, cache: &CacheSpec) -> (VmSpec, Box<dyn GuestWo
 fn run_population(
     kinds: &[Kind],
     cores: usize,
-    seed: u64,
     policy: Box<dyn SchedPolicy>,
 ) -> aql_sched::hv::RunReport {
     let cache = CacheSpec::i7_3770();
     let machine = MachineSpec::custom("prop", 1, cores, cache);
-    let mut b = SimulationBuilder::new(machine).seed(seed).policy(policy);
+    let mut b = SimulationBuilder::new(machine).policy(policy);
     for (i, k) in kinds.iter().enumerate() {
         let (spec, wl) = build_vm(*k, i, &cache);
         b = b.vm(spec, wl);
@@ -101,9 +100,8 @@ proptest! {
     fn cpu_time_is_conserved(
         kinds in prop::collection::vec(arb_kind(), 1..10),
         cores in 1usize..4,
-        seed in 1u64..1000,
     ) {
-        let report = run_population(&kinds, cores, seed, Box::new(xen_credit()));
+        let report = run_population(&kinds, cores, Box::new(xen_credit()));
         let vcpu_total: u64 = report.vms.iter().map(|v| v.cpu_ns()).sum();
         let pcpu_total: u64 = report.pcpu_busy_ns.iter().sum();
         prop_assert_eq!(vcpu_total, pcpu_total, "vCPU and pCPU accounting disagree");
@@ -117,9 +115,8 @@ proptest! {
     #[test]
     fn aql_conserves_and_does_not_starve(
         kinds in prop::collection::vec(arb_kind(), 2..8),
-        seed in 1u64..500,
     ) {
-        let report = run_population(&kinds, 2, seed, Box::new(AqlSched::paper_defaults()));
+        let report = run_population(&kinds, 2, Box::new(AqlSched::paper_defaults()));
         let vcpu_total: u64 = report.vms.iter().map(|v| v.cpu_ns()).sum();
         let pcpu_total: u64 = report.pcpu_busy_ns.iter().sum();
         prop_assert_eq!(vcpu_total, pcpu_total);
@@ -140,14 +137,13 @@ proptest! {
     #[test]
     fn runs_are_reproducible(
         kinds in prop::collection::vec(arb_kind(), 1..6),
-        seed in 1u64..200,
     ) {
-        let a = run_population(&kinds, 2, seed, Box::new(xen_credit()));
-        let b = run_population(&kinds, 2, seed, Box::new(xen_credit()));
+        let a = run_population(&kinds, 2, Box::new(xen_credit()));
+        let b = run_population(&kinds, 2, Box::new(xen_credit()));
         prop_assert_eq!(a.total_cpu_ns(), b.total_cpu_ns());
         prop_assert_eq!(&a.pcpu_busy_ns, &b.pcpu_busy_ns);
-        let c = run_population(&kinds, 2, seed, Box::new(AqlSched::paper_defaults()));
-        let d = run_population(&kinds, 2, seed, Box::new(AqlSched::paper_defaults()));
+        let c = run_population(&kinds, 2, Box::new(AqlSched::paper_defaults()));
+        let d = run_population(&kinds, 2, Box::new(AqlSched::paper_defaults()));
         prop_assert_eq!(c.total_cpu_ns(), d.total_cpu_ns());
         prop_assert_eq!(&c.pcpu_busy_ns, &d.pcpu_busy_ns);
     }
@@ -205,7 +201,6 @@ proptest! {
                 let spin = vms.iter().position(|(v, _)| v.name == "spin").expect("spin VM");
                 vms[spin].0.cap_pct = Some(cap_pct);
                 let mut sim = SimulationBuilder::new(machine(&spec))
-                    .seed(spec.seed)
                     .time_mode(mode)
                     .coalesce(false)
                     .policy(policy_for(&spec, policy).expect("known policy"))

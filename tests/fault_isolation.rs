@@ -229,13 +229,12 @@ fn coalesce_break_recovers_densely_within_tolerance() {
     }
 }
 
-/// In debug builds `run_measured` checks the report invariants, so a
+/// `run_measured` checks the report invariants in every build, so a
 /// caller that drives the engine directly, outside a budgeted plan
 /// cell, cannot take a poisoned report for a result.
-#[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "instruction count is non-finite")]
-fn run_measured_checks_report_invariants_in_debug_builds() {
+fn run_measured_checks_report_invariants() {
     let spec = walker_scenario("fi-nan", 1, "vm walk workload=walk/llcf fault=nan-rate\n");
     run_fixed(&spec, TimeMode::Adaptive);
 }

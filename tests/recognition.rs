@@ -15,9 +15,7 @@ fn detect(app: &str) -> VcpuType {
     let entry = find_app(app).expect("catalog app");
     let cache = CacheSpec::i7_3770();
     let machine = MachineSpec::custom("rec", 1, entry.vcpus, cache);
-    let mut b = SimulationBuilder::new(machine)
-        .seed(7)
-        .policy(Box::new(AqlSched::paper_defaults()));
+    let mut b = SimulationBuilder::new(machine).policy(Box::new(AqlSched::paper_defaults()));
     let (spec, wl) = build_app_vm(app, &cache, 7).expect("catalog app");
     b = b.vm(spec, wl);
     for i in 0..entry.vcpus {

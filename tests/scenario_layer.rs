@@ -15,9 +15,7 @@ use aql_sched::workloads::{IoServer, IoServerCfg, MemWalk, SpinJob, SpinJobCfg};
 fn hand_built_quickstart() -> aql_sched::hv::Simulation {
     let cache = CacheSpec::i7_3770();
     let machine = MachineSpec::custom("quickstart", 1, 4, cache);
-    let mut b = SimulationBuilder::new(machine)
-        .seed(1)
-        .policy(Box::new(xen_credit()));
+    let mut b = SimulationBuilder::new(machine).policy(Box::new(xen_credit()));
     for i in 0..4 {
         let name = format!("web-{i}");
         b = b.vm(
