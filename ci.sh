@@ -46,6 +46,14 @@ done
 step "cargo test -q"
 cargo test -q --workspace
 
+step "cache-model tests on optimised code: cargo test --release -q -p aql_mem"
+# The benchmark runs the lean LLC kernel and the integrator optimised;
+# the debug suite above does not. This re-runs their bit-identity
+# tests against the dense oracle (llc_lean_matches_insert,
+# lean_exec_matches_dense, the rate-cache tests) on that code (~0.1 s
+# once compiled).
+cargo test --release -q -p aql_mem
+
 step "sweep smoke: two-scenario quick matrix, 1 vs N threads byte-identical"
 cargo run --release -p aql_experiments --bin sweep -- \
     --quick --scenarios vtrs-live,webfarm --threads 1 > /tmp/ci_sweep_t1.txt

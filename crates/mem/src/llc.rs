@@ -7,6 +7,17 @@
 //! replacement that reproduces the paper's contention effects:
 //! trashing owners (`LLCO`) with huge fetch rates erode the footprint
 //! of cache-friendly owners (`LLCF`) while those are descheduled.
+//!
+//! Owners are stored in *blocks* of four (`LANES`) consecutive indices, and
+//! the model's three owner sums (eviction weights, evicted bytes,
+//! occupancy total) are *lane sums*: owner `i` adds into lane
+//! `i % LANES`, every lane starts at `+0.0`, and the result is
+//! `(l0 + l1) + (l2 + l3)`. The dense [`LlcState::insert`] and the
+//! block-wise [`LlcState::insert_lean`] both sum this way, so they stay
+//! bit-identical while the lean scans do a block's arithmetic in
+//! packed operations.
+
+use std::ops::{Add, Mul, Sub};
 
 /// Freshness decay constant: after `FRESH_TAU × capacity` bytes of new
 /// insertions, an owner's freshness drops by `1/e` unless it keeps
@@ -35,9 +46,16 @@ const FRESHNESS_FLUSH: f64 = 1e-18;
 /// identically by both insert paths.
 const OCC_FLUSH_BYTES: f64 = 1e-6;
 
-/// Insertions between opportunistic compactions of the active-owner
+/// Insertions between opportunistic compactions of the active-block
 /// index (lean path bookkeeping only).
 const PRUNE_PERIOD: u32 = 4096;
+
+/// Owners per block, and lanes per owner sum.
+const LANES: usize = 4;
+
+/// One value per owner of a block: owner `LANES × b + k` is lane `k`
+/// of block `b`.
+type Block = [f64; LANES];
 
 /// Per-socket shared LLC state.
 ///
@@ -67,18 +85,23 @@ const PRUNE_PERIOD: u32 = 4096;
 #[derive(Debug, Clone)]
 pub struct LlcState {
     capacity: f64,
-    occ: Vec<f64>,
+    /// Footprints in bytes, padded to a whole number of blocks (the
+    /// padding owners hold `0.0` until the index space grows over them).
+    occ: Vec<Block>,
     total: f64,
-    freshness: Vec<f64>,
-    /// Owners that may hold state (occupancy or freshness > 0), in
-    /// ascending order. The lean mutation path scans only this set:
-    /// every skipped owner holds exactly `0.0` in both fields, and
-    /// `x + 0.0` / `0.0 × d` are exact, so the results are bit-identical
-    /// to the dense full scans. On a multi-socket machine owner indices
-    /// are global, so this keeps each socket's passes proportional to
-    /// the owners that ever ran there, not to the whole machine.
+    /// Freshness in `[0, 1]`, laid out like `occ`.
+    freshness: Vec<Block>,
+    /// Blocks that may hold state (an occupancy or freshness that is
+    /// not `0.0`), in ascending order. The lean mutation path scans
+    /// only these: every skipped block holds exactly `0.0` in both
+    /// fields, it would add `+0.0` to every lane, and `x + 0.0` is
+    /// exact, so the results are bit-identical to the dense full
+    /// scans. On a multi-socket machine owner indices are global, so
+    /// this keeps each socket's passes proportional to the blocks its
+    /// owners ran in, not to the whole machine.
     active: Vec<u32>,
-    /// Membership mirror of `active` for O(1) insertion checks.
+    /// Membership mirror of `active`, one flag per block, for O(1)
+    /// insertion checks.
     is_active: Vec<bool>,
     /// One-entry memo for the freshness decay exponential, keyed by the
     /// exact bit pattern of `bytes`. Steady workloads insert identical
@@ -103,28 +126,65 @@ enum Resolved {
     Fallback(u8),
 }
 
-/// An owner's eviction weight: its occupancy scaled by staleness, and
-/// exactly `0.0` for an empty owner.
-#[inline]
-fn eviction_weight(occ: f64, freshness: f64) -> f64 {
-    if occ > 0.0 {
-        occ * (1.0 + STALE_BOOST * (1.0 - freshness))
+/// An owner's eviction weight: its occupancy scaled by staleness. It
+/// is exactly `+0.0` for an empty owner, because occupancies are never
+/// negative and the factor is finite. Written once for a scalar owner
+/// and for a block of four.
+#[inline(always)]
+fn eviction_weight<T>(occ: T, freshness: T) -> T
+where
+    T: Copy + From<f64> + Add<Output = T> + Sub<Output = T> + Mul<Output = T>,
+{
+    occ * (T::from(1.0) + T::from(STALE_BOOST) * (T::from(1.0) - freshness))
+}
+
+/// `a.min(b)` by compare, the form `minpd` computes lane by lane. It
+/// equals `f64::min` here because no operand is NaN.
+#[inline(always)]
+fn min(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
     } else {
-        0.0
+        b
     }
+}
+
+/// Writes `x` into `owner`'s lane by rewriting its whole block. The
+/// scans load whole blocks right after `touch_frac` and the insert's
+/// growth write one lane: a load is forwarded from a store of its own
+/// width, but one that straddles a narrower store waits until that
+/// store reaches the cache.
+#[inline(always)]
+fn set_lane(blocks: &mut [Block], owner: usize, x: f64) {
+    let b = &mut blocks[owner / LANES];
+    F4::load(b).with_lane(owner % LANES, x).store(b);
+}
+
+/// The owner sum of the cache model over whole blocks: four fixed lane
+/// accumulators starting at `+0.0`, combined as `(l0 + l1) + (l2 + l3)`.
+fn lane_sum(blocks: &[Block]) -> f64 {
+    let (mut l0, mut l1, mut l2, mut l3) = (0.0, 0.0, 0.0, 0.0);
+    for b in blocks {
+        l0 += b[0];
+        l1 += b[1];
+        l2 += b[2];
+        l3 += b[3];
+    }
+    (l0 + l1) + (l2 + l3)
 }
 
 impl LlcState {
     /// Creates an empty LLC of `capacity` bytes for `owners` owners.
     pub fn new(capacity: f64, owners: usize) -> Self {
         assert!(capacity > 0.0, "LLC capacity must be positive");
+        let blocks = owners.div_ceil(LANES);
         LlcState {
             capacity,
-            occ: vec![0.0; owners],
+            occ: vec![[0.0; LANES]; blocks],
             total: 0.0,
-            freshness: vec![0.0; owners],
+            freshness: vec![[0.0; LANES]; blocks],
             active: Vec::new(),
-            is_active: vec![false; owners],
+            is_active: vec![false; blocks],
             exp_memo: (u64::MAX, 1.0),
             prune_tick: 0,
         }
@@ -132,7 +192,9 @@ impl LlcState {
 
     /// Resident footprint of `owner` in bytes.
     pub fn occupancy(&self, owner: usize) -> f64 {
-        self.occ.get(owner).copied().unwrap_or(0.0)
+        self.occ
+            .get(owner / LANES)
+            .map_or(0.0, |b| b[owner % LANES])
     }
 
     /// Sum of all footprints.
@@ -142,21 +204,23 @@ impl LlcState {
 
     /// Grows the index space to hold at least `owners` owners.
     pub fn ensure_owners(&mut self, owners: usize) {
-        if self.occ.len() < owners {
-            self.occ.resize(owners, 0.0);
-            self.freshness.resize(owners, 0.0);
-            self.is_active.resize(owners, false);
+        let blocks = owners.div_ceil(LANES);
+        if self.occ.len() < blocks {
+            self.occ.resize(blocks, [0.0; LANES]);
+            self.freshness.resize(blocks, [0.0; LANES]);
+            self.is_active.resize(blocks, false);
         }
     }
 
-    /// Marks an owner as possibly holding state, keeping `active`
-    /// sorted ascending so lean scans visit owners in dense index
-    /// order (the order the dense loops use).
+    /// Marks an owner's block as possibly holding state, keeping
+    /// `active` sorted ascending so lean scans visit blocks in dense
+    /// index order (the order the dense loops use).
     fn activate(&mut self, owner: usize) {
-        if !self.is_active[owner] {
-            self.is_active[owner] = true;
-            let pos = self.active.partition_point(|&i| (i as usize) < owner);
-            self.active.insert(pos, owner as u32);
+        let block = owner / LANES;
+        if !self.is_active[block] {
+            self.is_active[block] = true;
+            let pos = self.active.partition_point(|&b| (b as usize) < block);
+            self.active.insert(pos, block as u32);
         }
     }
 
@@ -164,36 +228,48 @@ impl LlcState {
     /// (`frac` may exceed 1; freshness saturates at 1).
     pub fn touch_frac(&mut self, owner: usize, frac: f64) {
         self.ensure_owners(owner + 1);
-        let f = &mut self.freshness[owner];
-        *f = (*f + frac.max(0.0)).min(1.0);
-        if *f > 0.0 {
+        let f = (self.freshness(owner) + frac.max(0.0)).min(1.0);
+        set_lane(&mut self.freshness, owner, f);
+        if f > 0.0 {
             self.activate(owner);
         }
     }
 
     /// Current freshness of an owner, in `[0, 1]`.
     pub fn freshness(&self, owner: usize) -> f64 {
-        self.freshness.get(owner).copied().unwrap_or(0.0)
+        self.freshness
+            .get(owner / LANES)
+            .map_or(0.0, |b| b[owner % LANES])
+    }
+
+    /// Grows `owner`'s footprint by `bytes`, capped at `max_bytes` (or
+    /// at its current footprint, if that is larger), keeping the
+    /// running total; shared by both insert paths.
+    fn grow(&mut self, owner: usize, bytes: f64, max_bytes: f64) {
+        debug_assert!(bytes >= 0.0 && max_bytes >= 0.0);
+        self.ensure_owners(owner + 1);
+        let cur = self.occupancy(owner);
+        let grown = (cur + bytes).min(max_bytes.max(cur));
+        self.total += grown - cur;
+        set_lane(&mut self.occ, owner, grown);
+        if grown > 0.0 {
+            self.activate(owner);
+        }
     }
 
     /// Fetches `bytes` for `owner` (footprint capped at `max_bytes`,
     /// normally the owner's working-set size), then resolves capacity
     /// pressure by evicting in proportion to occupancy × staleness
     /// (LRU approximation via freshness).
+    ///
+    /// This is the reference: plain full scans over every owner, owner
+    /// by owner, with the owner sums taken by `lane_sum`.
     pub fn insert(&mut self, owner: usize, bytes: f64, max_bytes: f64) {
-        debug_assert!(bytes >= 0.0 && max_bytes >= 0.0);
-        self.ensure_owners(owner + 1);
-        let cur = self.occ[owner];
-        let grown = (cur + bytes).min(max_bytes.max(cur));
-        self.total += grown - cur;
-        self.occ[owner] = grown;
-        if grown > 0.0 {
-            self.activate(owner);
-        }
+        self.grow(owner, bytes, max_bytes);
         // New insertions age everyone else's lines.
         if bytes > 0.0 {
             let decay = (-bytes / (self.capacity * FRESH_TAU)).exp();
-            for (i, f) in self.freshness.iter_mut().enumerate() {
+            for (i, f) in self.freshness.as_flattened_mut().iter_mut().enumerate() {
                 if i != owner {
                     *f *= decay;
                     if *f < FRESHNESS_FLUSH {
@@ -212,29 +288,33 @@ impl LlcState {
             if overflow <= 1e-9 {
                 break;
             }
-            let weights: Vec<f64> = (0..self.occ.len())
-                .map(|i| {
-                    if self.occ[i] > 0.0 {
-                        self.occ[i] * (1.0 + STALE_BOOST * (1.0 - self.freshness[i]))
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let wsum: f64 = weights.iter().sum();
+            let mut weights = self.occ.clone();
+            for (w, &f) in weights
+                .as_flattened_mut()
+                .iter_mut()
+                .zip(self.freshness.as_flattened())
+            {
+                *w = eviction_weight(*w, f);
+            }
+            let wsum = lane_sum(&weights);
             if wsum <= 0.0 {
                 break;
             }
-            let mut evicted = 0.0;
-            for (occ, w) in self.occ.iter_mut().zip(&weights) {
-                let want = overflow * w / wsum;
-                let take = want.min(*occ);
+            // Each owner's weight is replaced by what it gave up.
+            for (occ, w) in self
+                .occ
+                .as_flattened_mut()
+                .iter_mut()
+                .zip(weights.as_flattened_mut())
+            {
+                let take = min(overflow * *w / wsum, *occ);
                 *occ -= take;
                 if *occ < OCC_FLUSH_BYTES {
                     *occ = 0.0;
                 }
-                evicted += take;
+                *w = take;
             }
+            let evicted = lane_sum(&weights);
             overflow -= evicted;
             if evicted <= 1e-12 {
                 break;
@@ -242,10 +322,10 @@ impl LlcState {
         }
         if overflow > 1e-9 {
             // Degenerate weights: plain proportional fallback.
-            let sum: f64 = self.occ.iter().sum();
+            let sum = lane_sum(&self.occ);
             if sum > 0.0 {
                 let scale = (sum - overflow).max(0.0) / sum;
-                for o in &mut self.occ {
+                for o in self.occ.as_flattened_mut() {
                     *o *= scale;
                     if *o < OCC_FLUSH_BYTES {
                         *o = 0.0;
@@ -253,18 +333,20 @@ impl LlcState {
                 }
             }
         }
-        self.total = self.occ.iter().sum();
+        self.total = lane_sum(&self.occ);
     }
 
     /// Bit-identical fast variant of [`LlcState::insert`].
     ///
-    /// Performs exactly the same floating-point operations in exactly
-    /// the same order, but visits only the *active* owners (skipped
-    /// terms are exact identities: `x + 0.0`, `0.0 × d`, `0.0` takes),
-    /// memoizes the decay exponential, and fuses the dense loops into
-    /// two scans per eviction pass. The adaptive time-advance runs this
-    /// path, the dense oracle [`LlcState::insert`];
-    /// `llc_lean_matches_insert` asserts the bitwise equivalence.
+    /// Performs exactly the same floating-point operations on every
+    /// owner and adds them into the same lanes in the same order, but
+    /// visits only the *active* blocks (a skipped block adds `+0.0` to
+    /// every lane), memoizes the decay exponential, fuses the dense
+    /// loops into two scans per eviction pass, and does each block's
+    /// arithmetic four owners at a time (`F4`). The adaptive
+    /// time-advance runs this path, the dense oracle
+    /// [`LlcState::insert`]; `llc_lean_matches_insert` asserts the
+    /// bitwise equivalence.
     pub fn insert_lean(&mut self, owner: usize, bytes: f64, max_bytes: f64) {
         self.insert_lean_resolved(owner, bytes, max_bytes);
     }
@@ -272,20 +354,12 @@ impl LlcState {
     /// [`LlcState::insert_lean`], reporting which branch resolved the
     /// capacity pressure.
     fn insert_lean_resolved(&mut self, owner: usize, bytes: f64, max_bytes: f64) -> Resolved {
-        debug_assert!(bytes >= 0.0 && max_bytes >= 0.0);
         self.prune_tick += 1;
         if self.prune_tick >= PRUNE_PERIOD {
             self.prune_tick = 0;
             self.prune_active();
         }
-        self.ensure_owners(owner + 1);
-        let cur = self.occ[owner];
-        let grown = (cur + bytes).min(max_bytes.max(cur));
-        self.total += grown - cur;
-        self.occ[owner] = grown;
-        if grown > 0.0 {
-            self.activate(owner);
-        }
+        self.grow(owner, bytes, max_bytes);
         // New insertions age everyone else's lines. The first scan that
         // visits the owners applies the decay; it reads no occupancy,
         // so fusing it with the first pass's weights changes no result.
@@ -327,11 +401,12 @@ impl LlcState {
             let sum = self.occ_sum();
             if sum > 0.0 {
                 let scale = (sum - overflow).max(0.0) / sum;
-                for &i in &self.active {
-                    let o = &mut self.occ[i as usize];
-                    *o *= scale;
-                    if *o < OCC_FLUSH_BYTES {
-                        *o = 0.0;
+                for &b in &self.active {
+                    for o in &mut self.occ[b as usize] {
+                        *o *= scale;
+                        if *o < OCC_FLUSH_BYTES {
+                            *o = 0.0;
+                        }
                     }
                 }
             }
@@ -347,92 +422,91 @@ impl LlcState {
     }
 
     /// First scan of an eviction pass: ages every active owner but the
-    /// inserting one by `decay` (first pass only), then returns the sum
-    /// of the eviction weights, accumulated in ascending owner order
-    /// from `-0.0` — the terms and start of the dense `Iterator::sum`.
-    /// Each weight reads the owner's freshness after its own decay,
-    /// exactly as the dense weights read it after the whole decay loop.
+    /// inserting one by `decay` (first pass only), then returns the
+    /// lane sum of the eviction weights. Each weight reads the owner's
+    /// freshness after its own decay, exactly as the dense weights read
+    /// it after the whole decay loop.
+    ///
+    /// The decay is a per-lane multiplier and flush limit. A lane that
+    /// must not decay (the inserting owner's, or every lane when there
+    /// is no decay) gets `× 1.0` and a limit of `0.0`: `f × 1.0` is
+    /// exact and no freshness is below `0.0`, so the lane keeps its
+    /// value and the block needs no branch.
     #[inline]
     fn decay_and_weigh(&mut self, owner: usize, decay: Option<f64>) -> f64 {
-        let LlcState {
-            occ,
-            freshness,
-            active,
-            ..
-        } = self;
-        let mut wsum = -0.0;
-        for &i in active.iter() {
-            let i = i as usize;
-            let mut f = freshness[i];
-            if let Some(d) = decay {
-                if i != owner && f != 0.0 {
-                    f *= d;
-                    if f < FRESHNESS_FLUSH {
-                        f = 0.0;
-                    }
-                    freshness[i] = f;
-                }
+        let hold = (F4::from(1.0), F4::from(0.0));
+        let (every, at_owner) = match decay {
+            Some(d) => {
+                let every = (F4::from(d), F4::from(FRESHNESS_FLUSH));
+                let lane = owner % LANES;
+                (
+                    every,
+                    (every.0.with_lane(lane, 1.0), every.1.with_lane(lane, 0.0)),
+                )
             }
-            wsum += eviction_weight(occ[i], f);
+            None => (hold, hold),
+        };
+        let owner_block = owner / LANES;
+        let mut wsum = F4::from(0.0);
+        for &b in &self.active {
+            let b = b as usize;
+            let (mul, limit) = if b == owner_block { at_owner } else { every };
+            let f = (F4::load(&self.freshness[b]) * mul).flush_below(limit);
+            f.store(&mut self.freshness[b]);
+            wsum = wsum + eviction_weight(F4::load(&self.occ[b]), f);
         }
-        wsum
+        wsum.lane_total()
     }
 
     /// Second scan of an eviction pass: takes `overflow × w / wsum`
     /// from every active owner (clamped at its occupancy, sub-byte
-    /// remainders flushed) and returns the evicted bytes and the
-    /// occupancy sum left behind (from `-0.0`, like `Iterator::sum`).
-    /// Each weight is recomputed from inputs this scan has not changed
-    /// yet, so it equals the first scan's bit for bit; an empty owner
-    /// takes exactly `0.0`, which the skip leaves out of `evicted`.
+    /// remainders flushed) and returns the lane sums of the evicted
+    /// bytes and of the occupancy left behind. Each weight is
+    /// recomputed from inputs this scan has not changed yet, so it
+    /// equals the first scan's bit for bit; an empty owner takes
+    /// exactly `0.0`, as in the dense pass.
     #[inline]
     fn take_pass(&mut self, overflow: f64, wsum: f64) -> (f64, f64) {
-        let LlcState {
-            occ,
-            freshness,
-            active,
-            ..
-        } = self;
-        let mut evicted = 0.0;
-        let mut total = -0.0;
-        for &i in active.iter() {
-            let i = i as usize;
-            let o = &mut occ[i];
-            if *o > 0.0 {
-                let w = eviction_weight(*o, freshness[i]);
-                let take = (overflow * w / wsum).min(*o);
-                *o -= take;
-                if *o < OCC_FLUSH_BYTES {
-                    *o = 0.0;
-                }
-                evicted += take;
-            }
-            total += *o;
+        let (overflow, wsum) = (F4::from(overflow), F4::from(wsum));
+        let flush = F4::from(OCC_FLUSH_BYTES);
+        let (mut evicted, mut total) = (F4::from(0.0), F4::from(0.0));
+        for &b in &self.active {
+            let b = b as usize;
+            let occ = F4::load(&self.occ[b]);
+            let w = eviction_weight(occ, F4::load(&self.freshness[b]));
+            let take = (overflow * w / wsum).min(occ);
+            let left = (occ - take).flush_below(flush);
+            left.store(&mut self.occ[b]);
+            evicted = evicted + take;
+            total = total + left;
         }
-        (evicted, total)
+        (evicted.lane_total(), total.lane_total())
     }
 
-    /// Sum of the active owners' occupancies, in ascending owner order
-    /// from `-0.0` (the dense `Iterator::sum` over every owner).
+    /// Lane sum of the active blocks' occupancies (the dense
+    /// `lane_sum` over every block).
     fn occ_sum(&self) -> f64 {
         self.active
             .iter()
-            .fold(-0.0, |sum, &i| sum + self.occ[i as usize])
+            .fold(F4::from(0.0), |sum, &b| {
+                sum + F4::load(&self.occ[b as usize])
+            })
+            .lane_total()
     }
 
-    /// Drops owners whose occupancy and freshness have both been
+    /// Drops blocks whose occupancies and freshness have all been
     /// flushed to exactly zero from the active index (pure
-    /// bookkeeping: a skipped all-zero owner contributes nothing to
+    /// bookkeeping: a skipped all-zero block contributes nothing to
     /// any scan).
     fn prune_active(&mut self) {
         let occ = &self.occ;
         let fresh = &self.freshness;
         let is_active = &mut self.is_active;
-        self.active.retain(|&iu| {
-            let i = iu as usize;
-            let live = occ[i] != 0.0 || fresh[i] != 0.0;
+        self.active.retain(|&bu| {
+            let b = bu as usize;
+            let live = occ[b] != [0.0; LANES] || fresh[b] != [0.0; LANES];
             if !live {
-                is_active[i] = false;
+                is_active[b] = false;
             }
             live
         });
@@ -450,12 +524,202 @@ impl LlcState {
     }
 }
 
+#[cfg(not(target_arch = "x86_64"))]
+use portable::F4;
+#[cfg(target_arch = "x86_64")]
+use sse2::F4;
+
+/// One block's four lanes as two SSE2 registers (lanes 0-1 and 2-3),
+/// so each lane-wise operation is two packed instructions. SSE2 is part
+/// of the x86_64 baseline, so this needs no feature detection. Plain
+/// Rust over `[f64; 4]` also compiles to packed SSE2, but with lane
+/// shuffles in every block; the intrinsics keep the lanes in place.
+#[cfg(target_arch = "x86_64")]
+mod sse2 {
+    use super::{Block, LANES};
+    use std::arch::x86_64 as x86;
+    use std::ops::{Add, Div, Mul, Sub};
+
+    /// One block's four lanes, with lane-wise IEEE arithmetic: each
+    /// lane computes exactly what the scalar operation computes on
+    /// that owner.
+    #[derive(Clone, Copy)]
+    pub(super) struct F4(x86::__m128d, x86::__m128d);
+
+    impl F4 {
+        #[inline(always)]
+        pub(super) fn load(b: &Block) -> F4 {
+            // SAFETY: SSE2 is part of the x86_64 baseline; `b` is four
+            // readable `f64`s and `loadu` needs no alignment.
+            unsafe { F4(x86::_mm_loadu_pd(&b[0]), x86::_mm_loadu_pd(&b[2])) }
+        }
+
+        #[inline(always)]
+        pub(super) fn store(self, b: &mut Block) {
+            // SAFETY: SSE2 is part of the x86_64 baseline; `b` is four
+            // writable `f64`s and `storeu` needs no alignment.
+            unsafe {
+                x86::_mm_storeu_pd(&mut b[0], self.0);
+                x86::_mm_storeu_pd(&mut b[2], self.1);
+            }
+        }
+
+        /// Lane-wise [`super::min`]: `minpd` returns its first operand
+        /// where it is less than the second, else the second.
+        #[inline(always)]
+        pub(super) fn min(self, other: F4) -> F4 {
+            // SAFETY: SSE2 is part of the x86_64 baseline.
+            unsafe {
+                F4(
+                    x86::_mm_min_pd(self.0, other.0),
+                    x86::_mm_min_pd(self.1, other.1),
+                )
+            }
+        }
+
+        /// `self` with lane `lane` replaced by `x`.
+        #[inline(always)]
+        pub(super) fn with_lane(self, lane: usize, x: f64) -> F4 {
+            const ON: f64 = f64::from_bits(u64::MAX);
+            const MASKS: [Block; LANES] = [
+                [ON, 0.0, 0.0, 0.0],
+                [0.0, ON, 0.0, 0.0],
+                [0.0, 0.0, ON, 0.0],
+                [0.0, 0.0, 0.0, ON],
+            ];
+            let (m, x) = (F4::load(&MASKS[lane]), F4::from(x));
+            // SAFETY: SSE2 is part of the x86_64 baseline.
+            let pick = |m, x, v| unsafe {
+                x86::_mm_or_pd(x86::_mm_and_pd(m, x), x86::_mm_andnot_pd(m, v))
+            };
+            F4(pick(m.0, x.0, self.0), pick(m.1, x.1, self.1))
+        }
+
+        /// Lanes below their `limit` become exactly `+0.0`.
+        #[inline(always)]
+        pub(super) fn flush_below(self, limit: F4) -> F4 {
+            // SAFETY: SSE2 is part of the x86_64 baseline.
+            let keep = |x, limit| unsafe { x86::_mm_andnot_pd(x86::_mm_cmplt_pd(x, limit), x) };
+            F4(keep(self.0, limit.0), keep(self.1, limit.1))
+        }
+
+        /// The lanes combined as `(l0 + l1) + (l2 + l3)`.
+        #[inline(always)]
+        pub(super) fn lane_total(self) -> f64 {
+            let mut l = [0.0; LANES];
+            self.store(&mut l);
+            (l[0] + l[1]) + (l[2] + l[3])
+        }
+    }
+
+    impl From<f64> for F4 {
+        #[inline(always)]
+        fn from(x: f64) -> F4 {
+            // SAFETY: SSE2 is part of the x86_64 baseline.
+            unsafe { F4(x86::_mm_set1_pd(x), x86::_mm_set1_pd(x)) }
+        }
+    }
+
+    macro_rules! lane_wise {
+        ($($trait:ident $method:ident $intrinsic:ident),*) => {$(
+            impl $trait for F4 {
+                type Output = F4;
+                #[inline(always)]
+                fn $method(self, rhs: F4) -> F4 {
+                    // SAFETY: SSE2 is part of the x86_64 baseline.
+                    unsafe { F4(x86::$intrinsic(self.0, rhs.0), x86::$intrinsic(self.1, rhs.1)) }
+                }
+            }
+        )*};
+    }
+    lane_wise!(Add add _mm_add_pd, Sub sub _mm_sub_pd, Mul mul _mm_mul_pd, Div div _mm_div_pd);
+}
+
+/// One block's four lanes as a plain array, for targets other than
+/// x86_64 (the compiler packs what the target allows). The tests check
+/// it on every target.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+mod portable {
+    use super::{Block, LANES};
+    use std::ops::{Add, Div, Mul, Sub};
+
+    /// One block's four lanes, with lane-wise IEEE arithmetic: each
+    /// lane computes exactly what the scalar operation computes on
+    /// that owner.
+    #[derive(Clone, Copy)]
+    pub(super) struct F4(Block);
+
+    impl F4 {
+        #[inline(always)]
+        pub(super) fn load(b: &Block) -> F4 {
+            F4(*b)
+        }
+
+        #[inline(always)]
+        pub(super) fn store(self, b: &mut Block) {
+            *b = self.0;
+        }
+
+        /// Lane-wise [`super::min`].
+        #[inline(always)]
+        pub(super) fn min(self, other: F4) -> F4 {
+            F4(std::array::from_fn(|k| super::min(self.0[k], other.0[k])))
+        }
+
+        /// `self` with lane `lane` replaced by `x`.
+        #[inline(always)]
+        pub(super) fn with_lane(mut self, lane: usize, x: f64) -> F4 {
+            self.0[lane] = x;
+            self
+        }
+
+        /// Lanes below their `limit` become exactly `+0.0`.
+        #[inline(always)]
+        pub(super) fn flush_below(self, limit: F4) -> F4 {
+            F4(std::array::from_fn(|k| {
+                if self.0[k] < limit.0[k] {
+                    0.0
+                } else {
+                    self.0[k]
+                }
+            }))
+        }
+
+        /// The lanes combined as `(l0 + l1) + (l2 + l3)`.
+        #[inline(always)]
+        pub(super) fn lane_total(self) -> f64 {
+            let [l0, l1, l2, l3] = self.0;
+            (l0 + l1) + (l2 + l3)
+        }
+    }
+
+    impl From<f64> for F4 {
+        #[inline(always)]
+        fn from(x: f64) -> F4 {
+            F4([x; LANES])
+        }
+    }
+
+    macro_rules! lane_wise {
+        ($($trait:ident $method:ident $op:tt),*) => {$(
+            impl $trait for F4 {
+                type Output = F4;
+                #[inline(always)]
+                fn $method(self, rhs: F4) -> F4 {
+                    F4(std::array::from_fn(|k| self.0[k] $op rhs.0[k]))
+                }
+            }
+        )*};
+    }
+    lane_wise!(Add add +, Sub sub -, Mul mul *, Div div /);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn total_matches(llc: &LlcState) -> bool {
-        let sum: f64 = (0..llc.occ.len()).map(|i| llc.occupancy(i)).sum();
+        let sum: f64 = (0..llc.occ.len() * LANES).map(|i| llc.occupancy(i)).sum();
         (sum - llc.total()).abs() < 1e-6
     }
 
@@ -511,6 +775,8 @@ mod tests {
         llc.insert(5, 10.0, 100.0);
         assert_eq!(llc.occupancy(5), 10.0);
         assert_eq!(llc.occupancy(3), 0.0);
+        // Owners 0..8: two whole blocks.
+        assert_eq!(llc.occ.len(), 2);
     }
 
     #[test]
@@ -539,6 +805,87 @@ mod tests {
         );
     }
 
+    #[test]
+    fn owner_sums_add_into_lanes() {
+        // 1 + 2^-53 rounds back to 1 (ties to even), but 2^-53 + 2^-53
+        // does not: summed owner by owner these owners total 1.0, summed
+        // in lanes (1 + 0) + (2^-53 + 2^-53) they total 1 + 2^-52.
+        let tiny = f64::EPSILON / 2.0;
+        let owners = [1.0, 0.0, tiny, tiny];
+        assert_eq!(owners.iter().sum::<f64>(), 1.0);
+        assert_eq!(lane_sum(&[owners]), 1.0 + f64::EPSILON);
+        // Owner 4 starts the next block in lane 0: (1 + tiny) + tiny.
+        assert_eq!(
+            lane_sum(&[[1.0, 0.0, 0.0, 0.0], [tiny, tiny, 0.0, 0.0]]),
+            1.0
+        );
+        assert_eq!(F4::load(&owners).lane_total(), 1.0 + f64::EPSILON);
+        // Through the model: an overflow under 1e-9 re-sums the total,
+        // on both paths, from the lanes.
+        let ops = [(0, 1.0), (2, tiny), (3, tiny)];
+        let (llc, r) = replay(1.0 - 5e-10, &ops);
+        assert_eq!(r, Resolved::Negligible);
+        assert_eq!(llc.total(), 1.0 + f64::EPSILON);
+    }
+
+    /// Checks every lane-wise operation of a block type against the
+    /// scalar operation on each lane, bit for bit.
+    macro_rules! check_block_ops {
+        ($F4:ty, $a:expr, $b:expr) => {{
+            let (a, b): (Block, Block) = ($a, $b);
+            let lanes = |x: $F4| {
+                let mut out = [0.0; LANES];
+                x.store(&mut out);
+                out.map(f64::to_bits)
+            };
+            let scalar =
+                |op: fn(f64, f64) -> f64| std::array::from_fn(|k| op(a[k], b[k]).to_bits());
+            let (x, y) = (<$F4>::load(&a), <$F4>::load(&b));
+            assert_eq!(lanes(x + y), scalar(|p, q| p + q), "add {a:?} {b:?}");
+            assert_eq!(lanes(x - y), scalar(|p, q| p - q), "sub {a:?} {b:?}");
+            assert_eq!(lanes(x * y), scalar(|p, q| p * q), "mul {a:?} {b:?}");
+            assert_eq!(lanes(x / y), scalar(|p, q| p / q), "div {a:?} {b:?}");
+            assert_eq!(lanes(x.min(y)), scalar(min), "min {a:?} {b:?}");
+            let flush = |p: f64, q: f64| if p < q { 0.0 } else { p };
+            assert_eq!(lanes(x.flush_below(y)), scalar(flush), "flush {a:?} {b:?}");
+            for k in 0..LANES {
+                let mut want = a.map(f64::to_bits);
+                want[k] = b[k].to_bits();
+                assert_eq!(lanes(x.with_lane(k, b[k])), want, "lane {k} of {a:?}");
+            }
+            assert_eq!(lanes(<$F4>::from(b[1])), [b[1].to_bits(); LANES]);
+            let total = (a[0] + a[1]) + (a[2] + a[3]);
+            assert_eq!(x.lane_total().to_bits(), total.to_bits(), "total {a:?}");
+        }};
+    }
+
+    #[test]
+    fn block_ops_are_the_scalar_ops_lane_by_lane() {
+        // Zeros, a subnormal, the flush limits and their neighbours,
+        // and footprint-sized values; every operand of the divisions
+        // is nonzero, so no lane is NaN.
+        let values = [
+            0.0,
+            5e-324,
+            FRESHNESS_FLUSH,
+            FRESHNESS_FLUSH * (1.0 - f64::EPSILON),
+            OCC_FLUSH_BYTES,
+            0.3,
+            1.0,
+            1.0 + f64::EPSILON,
+            8_388_608.0,
+            1e300,
+        ];
+        let mut rng = aql_sim::rng::SimRng::seed_from(3);
+        let mut pick = || values[rng.uniform_u64(0, values.len() as u64) as usize];
+        for _ in 0..500 {
+            let a: Block = std::array::from_fn(|_| pick());
+            let b: Block = std::array::from_fn(|_| pick().max(5e-324));
+            check_block_ops!(F4, a, b);
+            check_block_ops!(portable::F4, a, b);
+        }
+    }
+
     /// Asserts `lean` holds bit for bit the state of the dense oracle.
     fn assert_bitwise(dense: &LlcState, lean: &LlcState, ctx: &str) {
         assert_eq!(
@@ -547,7 +894,7 @@ mod tests {
             "total diverged ({ctx})"
         );
         assert_eq!(dense.occ.len(), lean.occ.len(), "owner space ({ctx})");
-        for i in 0..dense.occ.len() {
+        for i in 0..dense.occ.len() * LANES {
             assert_eq!(
                 dense.occupancy(i).to_bits(),
                 lean.occupancy(i).to_bits(),
@@ -565,12 +912,21 @@ mod tests {
     fn llc_lean_matches_insert() {
         // insert_lean must be bit-identical to insert over arbitrary
         // operation sequences: same occupancies, totals and freshness.
+        // Halfway through, the owner space grows by five owners, across
+        // a block boundary.
         let mut rng = aql_sim::rng::SimRng::seed_from(42);
-        for owners in [1usize, 2, 7, 32] {
+        for owners in [1usize, 2, 3, 5, 7, 9, 32] {
             let mut a = LlcState::new(8_388_608.0, owners);
             let mut b = LlcState::new(8_388_608.0, owners);
+            let mut space = owners;
             for step in 0..2_000 {
-                let owner = rng.uniform_u64(0, owners as u64) as usize;
+                if step == 1_000 {
+                    space += 5;
+                    a.ensure_owners(space);
+                    b.ensure_owners(space);
+                    assert_eq!(b.occ.len(), space.div_ceil(LANES));
+                }
+                let owner = rng.uniform_u64(0, space as u64) as usize;
                 match rng.uniform_u64(0, 4) {
                     0 => {
                         let frac = rng.unit_f64() * 1.5;
@@ -594,27 +950,83 @@ mod tests {
     }
 
     #[test]
+    fn lean_holds_the_inserting_owner_in_every_lane() {
+        // Eight warm, partly fresh owners in two blocks; each owner of
+        // the second block in turn inserts enough to evict. Only its own
+        // freshness must escape the decay, in whichever lane it sits.
+        for lane in 0..LANES {
+            let inserter = LANES + lane;
+            let mut a = LlcState::new(1000.0, 2 * LANES);
+            for i in 0..2 * LANES {
+                a.insert(i, 100.0 + 10.0 * i as f64, 1e9);
+                a.touch_frac(i, 0.1 * (i + 1) as f64);
+            }
+            let mut b = a.clone();
+            let before: Vec<f64> = (0..2 * LANES).map(|i| a.freshness(i)).collect();
+            a.insert(inserter, 300.0, 1e9);
+            let r = b.insert_lean_resolved(inserter, 300.0, 1e9);
+            assert!(matches!(r, Resolved::Passes(_)), "lane {lane}: {r:?}");
+            assert_bitwise(&a, &b, &format!("inserter in lane {lane}"));
+            for (i, &f) in before.iter().enumerate() {
+                if i == inserter {
+                    assert_eq!(b.freshness(i), f, "lane {lane}: inserter decayed");
+                } else {
+                    assert!(b.freshness(i) < f, "lane {lane}: owner {i} kept {f}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_with_one_live_owner_survives_a_prune() {
+        // Owner 5 holds a footprint, its three block mates nothing;
+        // owner 9's touch decays away. After a prune period of inserts
+        // by owner 0, block 1 stays active and block 2 is dropped.
+        let mut a = LlcState::new(1e12, 12);
+        a.insert(5, 4096.0, 1e9);
+        a.touch_frac(9, 1e-3);
+        let mut b = a.clone();
+        for _ in 0..PRUNE_PERIOD {
+            a.insert(0, 1e10, 1e11);
+            b.insert_lean(0, 1e10, 1e11);
+        }
+        assert_eq!(b.prune_tick, 0, "no prune ran");
+        assert_bitwise(&a, &b, "after the prune");
+        assert_eq!(b.occupancy(5), 4096.0);
+        assert_eq!((b.occupancy(9), b.freshness(9)), (0.0, 0.0));
+        assert_eq!(b.active, [0, 1]);
+        assert_eq!(b.is_active, [true, true, false]);
+        // The kept block still evicts from its live owner.
+        a.insert(4, 1e12, 1e12);
+        b.insert_lean(4, 1e12, 1e12);
+        assert_bitwise(&a, &b, "after an eviction");
+        assert!(b.occupancy(5) < 4096.0);
+    }
+
+    #[test]
     fn lean_matches_insert_on_a_skewed_owner_space() {
-        // A multi-socket LLC: 48 global owners, of which a hot window of
-        // 4-6 runs at a time and rotates. Cold owners must flush to
-        // exactly 0.0, get pruned from the active index and re-activate
-        // when the window comes back round, over several prune periods.
+        // A multi-socket LLC: 48 global owners (12 blocks), of which a
+        // hot window of 4-6 runs at a time and rotates. Cold owners must
+        // flush to exactly 0.0, their blocks get pruned from the active
+        // index and re-activate when the window comes back round, over
+        // several prune periods.
         const OWNERS: usize = 48;
+        const BLOCKS: usize = OWNERS / LANES;
         let mut rng = aql_sim::rng::SimRng::seed_from(7);
         let mut a = LlcState::new(8_388_608.0, OWNERS);
         let mut b = LlcState::new(8_388_608.0, OWNERS);
         let mut resolved = Vec::new();
         let (mut inserts, mut step) = (0u32, 0u32);
-        let (mut seen, mut pruned) = ([false; OWNERS], [false; OWNERS]);
+        let (mut seen, mut pruned) = ([false; BLOCKS], [false; BLOCKS]);
         let (mut prunes, mut reactivations) = (0, 0);
-        let mut min_active_after_prune = OWNERS;
+        let mut min_active_after_prune = BLOCKS;
         while inserts < 3 * PRUNE_PERIOD + PRUNE_PERIOD / 2 {
             let base = (step / 300) as usize * 5;
             let width = 4 + (step / 300) as usize % 3;
             let owner = (base + rng.uniform_u64(0, width as u64) as usize) % OWNERS;
             // The window's first owner only re-references (a resident
             // set that never misses), so it holds freshness without
-            // occupancy: a prune must keep it.
+            // occupancy: a prune must keep its block.
             if owner == base % OWNERS || rng.chance(0.25) {
                 let frac = rng.unit_f64();
                 a.touch_frac(owner, frac);
@@ -638,27 +1050,36 @@ mod tests {
                 }
             }
             assert_bitwise(&a, &b, &format!("step {step}"));
-            for i in 0..OWNERS {
-                if b.is_active[i] {
-                    reactivations += u32::from(pruned[i]);
-                    (seen[i], pruned[i]) = (true, false);
-                } else if seen[i] {
-                    // Only a prune drops an owner, and only one the
-                    // oracle holds at exactly 0.0 in both fields.
-                    assert_eq!((a.occupancy(i), a.freshness(i)), (0.0, 0.0));
-                    pruned[i] = true;
+            for blk in 0..BLOCKS {
+                if b.is_active[blk] {
+                    reactivations += u32::from(pruned[blk]);
+                    (seen[blk], pruned[blk]) = (true, false);
+                } else if seen[blk] {
+                    // Only a prune drops a block, and only one whose
+                    // four owners the oracle holds at exactly 0.0 in
+                    // both fields.
+                    for i in blk * LANES..(blk + 1) * LANES {
+                        assert_eq!((a.occupancy(i), a.freshness(i)), (0.0, 0.0));
+                    }
+                    pruned[blk] = true;
                 }
             }
-            for &i in &b.active {
-                assert!(b.is_active[i as usize], "index mirror out of sync");
+            for &blk in &b.active {
+                assert!(b.is_active[blk as usize], "index mirror out of sync");
             }
+            assert_eq!(
+                b.is_active.iter().filter(|&&x| x).count(),
+                b.active.len(),
+                "index mirror out of sync"
+            );
             assert!(b.active.windows(2).all(|w| w[0] < w[1]), "active unsorted");
             step += 1;
         }
         assert!(prunes >= 3, "only {prunes} prunes");
+        // A quarter of the blocks: the window spans at most three.
         assert!(
-            min_active_after_prune <= 12,
-            "the active set never went sparse: {min_active_after_prune}"
+            min_active_after_prune <= 3,
+            "the active set never went sparse: {min_active_after_prune} blocks"
         );
         assert!(reactivations >= 10, "only {reactivations} re-activations");
         assert!(resolved.contains(&Resolved::Fits), "{resolved:?}");
@@ -701,8 +1122,8 @@ mod tests {
     #[test]
     fn lean_negligible_overflow_re_sums_the_total() {
         // 0 < overflow <= 1e-9: no eviction pass, but the running total
-        // (0.6 + 0.1 + 0.2, in insertion order) is replaced by the sum
-        // in owner order (0.1 + 0.2 + 0.6), which differs in its last bit.
+        // (0.6 + 0.1 + 0.2, in insertion order) is replaced by the lane
+        // sum (0.1 + 0.2) + (0.6 + 0.0), which differs in its last bit.
         let (llc, r) = replay(0.9 - 5e-10, &[(2, 0.6), (0, 0.1), (1, 0.2)]);
         assert_eq!(r, Resolved::Negligible);
         assert_eq!(llc.total(), 0.9);

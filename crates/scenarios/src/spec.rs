@@ -30,8 +30,9 @@
 //!   `substep_us` (all optional, with the defaults shown above).
 //! * `vm <name> [attr=value]…` lines declare a VM group, in placement
 //!   order. Attributes:
-//!   * `count=<n>` — instances (default 1). The name must contain
-//!     `%i` (replaced by the instance index) iff `count > 1`.
+//!   * `count=<n>` — instances (default 1, at most [`MAX_VM_COUNT`]).
+//!     The name must contain `%i` (replaced by the instance index) iff
+//!     `count > 1`.
 //!   * `workload=<token>[|<token>…]` — required; each token is a
 //!     [`WorkloadSpec`]. With alternation, instance `i` uses token
 //!     `i mod k`, which expresses interleaved mixes compactly.
@@ -53,6 +54,10 @@
 //!     Fault-injection scenarios exist to prove the harness's
 //!     degradation paths; the catalog never uses them.
 //!
+//! A machine has at most [`MAX_PCPUS`] pCPUs and a scenario places at
+//! most [`MAX_VCPUS`] vCPUs; larger documents are rejected at the line
+//! that crosses the limit.
+//!
 //! Every spec round-trips: [`ScenarioSpec::to_text`] serialises the
 //! canonical form and [`ScenarioSpec::parse`] reproduces the value
 //! exactly ([`PartialEq`]).
@@ -73,6 +78,17 @@ pub const DEFAULT_MEASURE_NS: u64 = 6000 * MS;
 /// Default engine sub-step (ns) when a scenario file omits
 /// `substep_us`.
 pub const DEFAULT_SUBSTEP_NS: u64 = 100 * US;
+
+/// Most pCPUs (`sockets × cores`) a `machine` line may declare. This
+/// and the two limits below keep a malformed file from asking the
+/// simulator for billions of objects; they sit far above the catalog's
+/// largest scenarios (16 pCPUs, 48 vCPUs).
+pub const MAX_PCPUS: usize = 1024;
+/// Most instances one `vm` line may declare (`count=`).
+pub const MAX_VM_COUNT: usize = 1024;
+/// Most vCPUs a scenario may place over all VM instances; an SMP
+/// instance (`spin/kernbench/<threads>`, `app/…`) counts each vCPU.
+pub const MAX_VCPUS: usize = 4096;
 
 /// A named cache-hierarchy preset (the paper's two hosts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,6 +204,14 @@ impl VmDecl {
     pub fn class_of(&self, i: usize) -> VcpuType {
         self.class.unwrap_or_else(|| self.workload_of(i).class())
     }
+
+    /// vCPUs over all instances (saturating, so an oversized
+    /// declaration reads as huge rather than wrapping).
+    pub fn vcpus(&self) -> usize {
+        (0..self.count)
+            .map(|i| self.workload_of(i).vcpus())
+            .fold(0, usize::saturating_add)
+    }
 }
 
 /// A parsed declarative scenario.
@@ -286,15 +310,21 @@ fn parse_machine(value: &str, line: usize) -> Result<MachineDecl, SpecError> {
             _ => return err(line, format!("unknown machine attribute '{k}'")),
         }
     }
-    match (sockets, cores, cache) {
-        (Some(sockets), Some(cores), Some(cache)) => Ok(MachineDecl {
-            name,
-            sockets,
-            cores_per_socket: cores,
-            cache,
-        }),
-        _ => err(line, "machine needs sockets=, cores= and cache="),
+    let (Some(sockets), Some(cores), Some(cache)) = (sockets, cores, cache) else {
+        return err(line, "machine needs sockets=, cores= and cache=");
+    };
+    if sockets.checked_mul(cores).is_none_or(|p| p > MAX_PCPUS) {
+        return err(
+            line,
+            format!("machine of {sockets} x {cores} pCPUs exceeds the {MAX_PCPUS}-pCPU limit"),
+        );
     }
+    Ok(MachineDecl {
+        name,
+        sockets,
+        cores_per_socket: cores,
+        cache,
+    })
 }
 
 fn parse_vm(rest: &str, line: usize) -> Result<VmDecl, SpecError> {
@@ -319,6 +349,12 @@ fn parse_vm(rest: &str, line: usize) -> Result<VmDecl, SpecError> {
         };
         match k {
             "count" => match v.parse::<usize>() {
+                Ok(n) if n > MAX_VM_COUNT => {
+                    return err(
+                        line,
+                        format!("count {n} exceeds the limit of {MAX_VM_COUNT}"),
+                    )
+                }
                 Ok(n) if n > 0 => decl.count = n,
                 _ => return err(line, format!("bad count '{v}'")),
             },
@@ -386,6 +422,7 @@ impl ScenarioSpec {
         let mut measure_ns = DEFAULT_MEASURE_NS;
         let mut substep_ns = DEFAULT_SUBSTEP_NS;
         let mut vms: Vec<VmDecl> = Vec::new();
+        let mut vcpus = 0usize;
 
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
@@ -394,7 +431,15 @@ impl ScenarioSpec {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("vm ") {
-                vms.push(parse_vm(rest, lineno)?);
+                let vm = parse_vm(rest, lineno)?;
+                vcpus = vcpus.saturating_add(vm.vcpus());
+                if vcpus > MAX_VCPUS {
+                    return err(
+                        lineno,
+                        format!("vm '{}' takes the scenario past {MAX_VCPUS} vCPUs", vm.name),
+                    );
+                }
+                vms.push(vm);
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -539,14 +584,7 @@ impl ScenarioSpec {
 
     /// Total vCPUs the scenario places.
     pub fn total_vcpus(&self) -> usize {
-        self.vms
-            .iter()
-            .map(|vm| {
-                (0..vm.count)
-                    .map(|i| vm.workload_of(i).vcpus())
-                    .sum::<usize>()
-            })
-            .sum()
+        self.vms.iter().map(VmDecl::vcpus).sum()
     }
 
     /// Consolidation ratio: vCPUs per pCPU.
@@ -779,6 +817,66 @@ vm hung  workload=io/exclusive/100 fault=hang
         let e = ScenarioSpec::parse(bad).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.to_string().contains("line 3"), "{e}");
+    }
+
+    /// Parses `doc`, expecting an error on `line` that mentions `needle`.
+    fn rejected_at(doc: &str, line: usize, needle: &str) {
+        let e = ScenarioSpec::parse(doc).unwrap_err();
+        assert_eq!(e.line, line, "{e}");
+        assert!(e.message.contains(needle), "expected '{needle}' in '{e}'");
+    }
+
+    #[test]
+    fn a_huge_vm_count_is_an_error_not_an_allocation() {
+        // The instance-name list would need ~100 GB.
+        rejected_at(
+            "scenario = x\nmachine = sockets=1 cores=1 cache=i7-3770\n\
+             vm a-%i count=4294967296 workload=idle\n",
+            3,
+            "count 4294967296 exceeds the limit of 1024",
+        );
+    }
+
+    #[test]
+    fn a_machine_whose_pcpu_count_overflows_is_an_error() {
+        rejected_at(
+            "scenario = x\nmachine = sockets=4294967296 cores=4294967296 cache=i7-3770\n\
+             vm a workload=idle\n",
+            2,
+            "exceeds the 1024-pCPU limit",
+        );
+    }
+
+    #[test]
+    fn a_machine_of_billions_of_pcpus_is_an_error() {
+        rejected_at(
+            "scenario = x\nmachine = sockets=4294967296 cores=1 cache=i7-3770\n\
+             vm a workload=idle\n",
+            2,
+            "machine of 4294967296 x 1 pCPUs exceeds the 1024-pCPU limit",
+        );
+    }
+
+    #[test]
+    fn the_vcpu_total_counts_smp_threads_and_is_bounded() {
+        // 1024 + 1024 single-vCPU instances and 2048 threads fit
+        // exactly; one more thread does not, and the error names its
+        // line. So does one SMP instance with billions of threads.
+        let doc = |threads: usize| {
+            format!(
+                "scenario = x\nmachine = sockets=1 cores=1 cache=i7-3770\n\
+                 vm a-%i count=1024 workload=idle\nvm b-%i count=1024 workload=walk/llcf\n\
+                 vm spin workload=spin/kernbench/{threads}\n"
+            )
+        };
+        let s = ScenarioSpec::parse(&doc(2048)).unwrap();
+        assert_eq!(s.total_vcpus(), MAX_VCPUS);
+        rejected_at(
+            &doc(2049),
+            5,
+            "vm 'spin' takes the scenario past 4096 vCPUs",
+        );
+        rejected_at(&doc(usize::MAX), 5, "past 4096 vCPUs");
     }
 
     #[test]
