@@ -207,7 +207,7 @@ impl VmDecl {
 
     /// vCPUs over all instances (saturating, so an oversized
     /// declaration reads as huge rather than wrapping).
-    pub fn vcpus(&self) -> usize {
+    pub(crate) fn vcpus(&self) -> usize {
         (0..self.count)
             .map(|i| self.workload_of(i).vcpus())
             .fold(0, usize::saturating_add)
