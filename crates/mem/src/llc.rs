@@ -12,12 +12,12 @@
 //! the model's three owner sums (eviction weights, evicted bytes,
 //! occupancy total) are *lane sums*: owner `i` adds into lane
 //! `i % LANES`, every lane starts at `+0.0`, and the result is
-//! `(l0 + l1) + (l2 + l3)`. The dense [`LlcState::insert`] and the
+//! `(l0 + l2) + (l1 + l3)`. The dense [`LlcState::insert`] and the
 //! block-wise [`LlcState::insert_lean`] both sum this way, so they stay
 //! bit-identical while the lean scans do a block's arithmetic in
 //! packed operations.
 
-use std::ops::{Add, Mul, Sub};
+use std::ops::{Add, Div, Mul, Sub};
 
 /// Freshness decay constant: after `FRESH_TAU × capacity` bytes of new
 /// insertions, an owner's freshness drops by `1/e` unless it keeps
@@ -161,7 +161,13 @@ fn set_lane(blocks: &mut [Block], owner: usize, x: f64) {
 }
 
 /// The owner sum of the cache model over whole blocks: four fixed lane
-/// accumulators starting at `+0.0`, combined as `(l0 + l1) + (l2 + l3)`.
+/// accumulators starting at `+0.0`, combined as `(l0 + l2) + (l1 + l3)`.
+///
+/// That is the order in which a block held as two two-lane registers
+/// (lanes 0-1, lanes 2-3) reduces: add the registers, then their two
+/// lanes. Combined as `(l0 + l1) + (l2 + l3)` instead, the optimiser
+/// pairs lanes 0 with 2 and 1 with 3 through the whole lean scan, which
+/// costs lane shuffles and split stores in every block.
 fn lane_sum(blocks: &[Block]) -> f64 {
     let (mut l0, mut l1, mut l2, mut l3) = (0.0, 0.0, 0.0, 0.0);
     for b in blocks {
@@ -170,7 +176,7 @@ fn lane_sum(blocks: &[Block]) -> f64 {
         l2 += b[2];
         l3 += b[3];
     }
-    (l0 + l1) + (l2 + l3)
+    (l0 + l2) + (l1 + l3)
 }
 
 impl LlcState {
@@ -524,195 +530,94 @@ impl LlcState {
     }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-use portable::F4;
-#[cfg(target_arch = "x86_64")]
-use sse2::F4;
-
-/// One block's four lanes as two SSE2 registers (lanes 0-1 and 2-3),
-/// so each lane-wise operation is two packed instructions. SSE2 is part
-/// of the x86_64 baseline, so this needs no feature detection. Plain
-/// Rust over `[f64; 4]` also compiles to packed SSE2, but with lane
-/// shuffles in every block; the intrinsics keep the lanes in place.
-#[cfg(target_arch = "x86_64")]
-mod sse2 {
-    use super::{Block, LANES};
-    use std::arch::x86_64 as x86;
-    use std::ops::{Add, Div, Mul, Sub};
-
-    /// One block's four lanes, with lane-wise IEEE arithmetic: each
-    /// lane computes exactly what the scalar operation computes on
-    /// that owner.
-    #[derive(Clone, Copy)]
-    pub(super) struct F4(x86::__m128d, x86::__m128d);
-
-    impl F4 {
-        #[inline(always)]
-        pub(super) fn load(b: &Block) -> F4 {
-            // SAFETY: SSE2 is part of the x86_64 baseline; `b` is four
-            // readable `f64`s and `loadu` needs no alignment.
-            unsafe { F4(x86::_mm_loadu_pd(&b[0]), x86::_mm_loadu_pd(&b[2])) }
-        }
-
-        #[inline(always)]
-        pub(super) fn store(self, b: &mut Block) {
-            // SAFETY: SSE2 is part of the x86_64 baseline; `b` is four
-            // writable `f64`s and `storeu` needs no alignment.
-            unsafe {
-                x86::_mm_storeu_pd(&mut b[0], self.0);
-                x86::_mm_storeu_pd(&mut b[2], self.1);
-            }
-        }
-
-        /// Lane-wise [`super::min`]: `minpd` returns its first operand
-        /// where it is less than the second, else the second.
-        #[inline(always)]
-        pub(super) fn min(self, other: F4) -> F4 {
-            // SAFETY: SSE2 is part of the x86_64 baseline.
-            unsafe {
-                F4(
-                    x86::_mm_min_pd(self.0, other.0),
-                    x86::_mm_min_pd(self.1, other.1),
-                )
-            }
-        }
-
-        /// `self` with lane `lane` replaced by `x`.
-        #[inline(always)]
-        pub(super) fn with_lane(self, lane: usize, x: f64) -> F4 {
-            const ON: f64 = f64::from_bits(u64::MAX);
-            const MASKS: [Block; LANES] = [
-                [ON, 0.0, 0.0, 0.0],
-                [0.0, ON, 0.0, 0.0],
-                [0.0, 0.0, ON, 0.0],
-                [0.0, 0.0, 0.0, ON],
-            ];
-            let (m, x) = (F4::load(&MASKS[lane]), F4::from(x));
-            // SAFETY: SSE2 is part of the x86_64 baseline.
-            let pick = |m, x, v| unsafe {
-                x86::_mm_or_pd(x86::_mm_and_pd(m, x), x86::_mm_andnot_pd(m, v))
-            };
-            F4(pick(m.0, x.0, self.0), pick(m.1, x.1, self.1))
-        }
-
-        /// Lanes below their `limit` become exactly `+0.0`.
-        #[inline(always)]
-        pub(super) fn flush_below(self, limit: F4) -> F4 {
-            // SAFETY: SSE2 is part of the x86_64 baseline.
-            let keep = |x, limit| unsafe { x86::_mm_andnot_pd(x86::_mm_cmplt_pd(x, limit), x) };
-            F4(keep(self.0, limit.0), keep(self.1, limit.1))
-        }
-
-        /// The lanes combined as `(l0 + l1) + (l2 + l3)`.
-        #[inline(always)]
-        pub(super) fn lane_total(self) -> f64 {
-            let mut l = [0.0; LANES];
-            self.store(&mut l);
-            (l[0] + l[1]) + (l[2] + l[3])
-        }
-    }
-
-    impl From<f64> for F4 {
-        #[inline(always)]
-        fn from(x: f64) -> F4 {
-            // SAFETY: SSE2 is part of the x86_64 baseline.
-            unsafe { F4(x86::_mm_set1_pd(x), x86::_mm_set1_pd(x)) }
-        }
-    }
-
-    macro_rules! lane_wise {
-        ($($trait:ident $method:ident $intrinsic:ident),*) => {$(
-            impl $trait for F4 {
-                type Output = F4;
-                #[inline(always)]
-                fn $method(self, rhs: F4) -> F4 {
-                    // SAFETY: SSE2 is part of the x86_64 baseline.
-                    unsafe { F4(x86::$intrinsic(self.0, rhs.0), x86::$intrinsic(self.1, rhs.1)) }
-                }
-            }
-        )*};
-    }
-    lane_wise!(Add add _mm_add_pd, Sub sub _mm_sub_pd, Mul mul _mm_mul_pd, Div div _mm_div_pd);
+/// `[e(0), e(1), e(2), e(3)]` for a lane expression `e(k)`, written
+/// out lane by lane: unoptimised builds then call nothing per lane.
+macro_rules! per_lane {
+    ($k:ident => $e:expr) => {
+        per_lane!($k => $e; 0, 1, 2, 3)
+    };
+    ($k:ident => $e:expr; $($lane:literal),*) => {
+        [$({
+            let $k: usize = $lane;
+            $e
+        }),*]
+    };
 }
 
-/// One block's four lanes as a plain array, for targets other than
-/// x86_64 (the compiler packs what the target allows). The tests check
-/// it on every target.
-#[cfg(any(test, not(target_arch = "x86_64")))]
-mod portable {
-    use super::{Block, LANES};
-    use std::ops::{Add, Div, Mul, Sub};
+/// One block's four lanes, with lane-wise IEEE arithmetic: each lane
+/// computes exactly what the scalar operation computes on that owner.
+/// Plain Rust that optimised builds pack: on the x86_64 baseline each
+/// lane-wise operation is two SSE2 instructions (`addpd`, `mulpd`,
+/// `divpd`, `minpd`, `cmpnltpd`), one on lanes 0-1 and one on lanes 2-3.
+#[derive(Clone, Copy)]
+struct F4(Block);
 
-    /// One block's four lanes, with lane-wise IEEE arithmetic: each
-    /// lane computes exactly what the scalar operation computes on
-    /// that owner.
-    #[derive(Clone, Copy)]
-    pub(super) struct F4(Block);
-
-    impl F4 {
-        #[inline(always)]
-        pub(super) fn load(b: &Block) -> F4 {
-            F4(*b)
-        }
-
-        #[inline(always)]
-        pub(super) fn store(self, b: &mut Block) {
-            *b = self.0;
-        }
-
-        /// Lane-wise [`super::min`].
-        #[inline(always)]
-        pub(super) fn min(self, other: F4) -> F4 {
-            F4(std::array::from_fn(|k| super::min(self.0[k], other.0[k])))
-        }
-
-        /// `self` with lane `lane` replaced by `x`.
-        #[inline(always)]
-        pub(super) fn with_lane(mut self, lane: usize, x: f64) -> F4 {
-            self.0[lane] = x;
-            self
-        }
-
-        /// Lanes below their `limit` become exactly `+0.0`.
-        #[inline(always)]
-        pub(super) fn flush_below(self, limit: F4) -> F4 {
-            F4(std::array::from_fn(|k| {
-                if self.0[k] < limit.0[k] {
-                    0.0
-                } else {
-                    self.0[k]
-                }
-            }))
-        }
-
-        /// The lanes combined as `(l0 + l1) + (l2 + l3)`.
-        #[inline(always)]
-        pub(super) fn lane_total(self) -> f64 {
-            let [l0, l1, l2, l3] = self.0;
-            (l0 + l1) + (l2 + l3)
-        }
+impl F4 {
+    #[inline(always)]
+    fn load(b: &Block) -> F4 {
+        F4(*b)
     }
 
-    impl From<f64> for F4 {
-        #[inline(always)]
-        fn from(x: f64) -> F4 {
-            F4([x; LANES])
-        }
+    #[inline(always)]
+    fn store(self, b: &mut Block) {
+        *b = self.0;
     }
 
-    macro_rules! lane_wise {
-        ($($trait:ident $method:ident $op:tt),*) => {$(
-            impl $trait for F4 {
-                type Output = F4;
-                #[inline(always)]
-                fn $method(self, rhs: F4) -> F4 {
-                    F4(std::array::from_fn(|k| self.0[k] $op rhs.0[k]))
-                }
-            }
-        )*};
+    /// Lane-wise [`min`].
+    #[inline(always)]
+    fn min(self, other: F4) -> F4 {
+        F4(per_lane!(k => min(self.0[k], other.0[k])))
     }
-    lane_wise!(Add add +, Sub sub -, Mul mul *, Div div /);
+
+    /// `self` with lane `lane` replaced by `x`, selected by bit masks
+    /// so that it stays whole-block arithmetic (see [`set_lane`]).
+    #[inline(always)]
+    fn with_lane(self, lane: usize, x: f64) -> F4 {
+        const MASKS: [[u64; LANES]; LANES] = [
+            [u64::MAX, 0, 0, 0],
+            [0, u64::MAX, 0, 0],
+            [0, 0, u64::MAX, 0],
+            [0, 0, 0, u64::MAX],
+        ];
+        let m = MASKS[lane];
+        F4(per_lane!(k => f64::from_bits(
+            x.to_bits() & m[k] | self.0[k].to_bits() & !m[k]
+        )))
+    }
+
+    /// Lanes below their `limit` become exactly `+0.0`.
+    #[inline(always)]
+    fn flush_below(self, limit: F4) -> F4 {
+        F4(per_lane!(k => if self.0[k] < limit.0[k] { 0.0 } else { self.0[k] }))
+    }
+
+    /// The lanes combined as [`lane_sum`] combines them.
+    #[inline(always)]
+    fn lane_total(self) -> f64 {
+        let [l0, l1, l2, l3] = self.0;
+        (l0 + l2) + (l1 + l3)
+    }
 }
+
+impl From<f64> for F4 {
+    #[inline(always)]
+    fn from(x: f64) -> F4 {
+        F4([x; LANES])
+    }
+}
+
+macro_rules! lane_wise {
+    ($($trait:ident $method:ident $op:tt),*) => {$(
+        impl $trait for F4 {
+            type Output = F4;
+            #[inline(always)]
+            fn $method(self, rhs: F4) -> F4 {
+                F4(per_lane!(k => self.0[k] $op rhs.0[k]))
+            }
+        }
+    )*};
+}
+lane_wise!(Add add +, Sub sub -, Mul mul *, Div div /);
 
 #[cfg(test)]
 mod tests {
@@ -811,7 +716,7 @@ mod tests {
         // does not: summed owner by owner these owners total 1.0, summed
         // in lanes (1 + 0) + (2^-53 + 2^-53) they total 1 + 2^-52.
         let tiny = f64::EPSILON / 2.0;
-        let owners = [1.0, 0.0, tiny, tiny];
+        let owners = [1.0, tiny, 0.0, tiny];
         assert_eq!(owners.iter().sum::<f64>(), 1.0);
         assert_eq!(lane_sum(&[owners]), 1.0 + f64::EPSILON);
         // Owner 4 starts the next block in lane 0: (1 + tiny) + tiny.
@@ -822,41 +727,33 @@ mod tests {
         assert_eq!(F4::load(&owners).lane_total(), 1.0 + f64::EPSILON);
         // Through the model: an overflow under 1e-9 re-sums the total,
         // on both paths, from the lanes.
-        let ops = [(0, 1.0), (2, tiny), (3, tiny)];
+        let ops = [(0, 1.0), (1, tiny), (3, tiny)];
         let (llc, r) = replay(1.0 - 5e-10, &ops);
         assert_eq!(r, Resolved::Negligible);
         assert_eq!(llc.total(), 1.0 + f64::EPSILON);
     }
 
-    /// Checks every lane-wise operation of a block type against the
-    /// scalar operation on each lane, bit for bit.
-    macro_rules! check_block_ops {
-        ($F4:ty, $a:expr, $b:expr) => {{
-            let (a, b): (Block, Block) = ($a, $b);
-            let lanes = |x: $F4| {
-                let mut out = [0.0; LANES];
-                x.store(&mut out);
-                out.map(f64::to_bits)
-            };
-            let scalar =
-                |op: fn(f64, f64) -> f64| std::array::from_fn(|k| op(a[k], b[k]).to_bits());
-            let (x, y) = (<$F4>::load(&a), <$F4>::load(&b));
-            assert_eq!(lanes(x + y), scalar(|p, q| p + q), "add {a:?} {b:?}");
-            assert_eq!(lanes(x - y), scalar(|p, q| p - q), "sub {a:?} {b:?}");
-            assert_eq!(lanes(x * y), scalar(|p, q| p * q), "mul {a:?} {b:?}");
-            assert_eq!(lanes(x / y), scalar(|p, q| p / q), "div {a:?} {b:?}");
-            assert_eq!(lanes(x.min(y)), scalar(min), "min {a:?} {b:?}");
-            let flush = |p: f64, q: f64| if p < q { 0.0 } else { p };
-            assert_eq!(lanes(x.flush_below(y)), scalar(flush), "flush {a:?} {b:?}");
-            for k in 0..LANES {
-                let mut want = a.map(f64::to_bits);
-                want[k] = b[k].to_bits();
-                assert_eq!(lanes(x.with_lane(k, b[k])), want, "lane {k} of {a:?}");
-            }
-            assert_eq!(lanes(<$F4>::from(b[1])), [b[1].to_bits(); LANES]);
-            let total = (a[0] + a[1]) + (a[2] + a[3]);
-            assert_eq!(x.lane_total().to_bits(), total.to_bits(), "total {a:?}");
-        }};
+    /// Checks every lane-wise operation of `F4` against the scalar
+    /// operation on each lane, bit for bit.
+    fn check_block_ops(a: Block, b: Block) {
+        let lanes = |x: F4| x.0.map(f64::to_bits);
+        let scalar = |op: fn(f64, f64) -> f64| std::array::from_fn(|k| op(a[k], b[k]).to_bits());
+        let (x, y) = (F4::load(&a), F4::load(&b));
+        assert_eq!(lanes(x + y), scalar(|p, q| p + q), "add {a:?} {b:?}");
+        assert_eq!(lanes(x - y), scalar(|p, q| p - q), "sub {a:?} {b:?}");
+        assert_eq!(lanes(x * y), scalar(|p, q| p * q), "mul {a:?} {b:?}");
+        assert_eq!(lanes(x / y), scalar(|p, q| p / q), "div {a:?} {b:?}");
+        assert_eq!(lanes(x.min(y)), scalar(min), "min {a:?} {b:?}");
+        let flush = |p: f64, q: f64| if p < q { 0.0 } else { p };
+        assert_eq!(lanes(x.flush_below(y)), scalar(flush), "flush {a:?} {b:?}");
+        for k in 0..LANES {
+            let mut want = a.map(f64::to_bits);
+            want[k] = b[k].to_bits();
+            assert_eq!(lanes(x.with_lane(k, b[k])), want, "lane {k} of {a:?}");
+        }
+        assert_eq!(lanes(F4::from(b[1])), [b[1].to_bits(); LANES]);
+        let total = lane_sum(&[a]);
+        assert_eq!(x.lane_total().to_bits(), total.to_bits(), "total {a:?}");
     }
 
     #[test]
@@ -881,8 +778,7 @@ mod tests {
         for _ in 0..500 {
             let a: Block = std::array::from_fn(|_| pick());
             let b: Block = std::array::from_fn(|_| pick().max(5e-324));
-            check_block_ops!(F4, a, b);
-            check_block_ops!(portable::F4, a, b);
+            check_block_ops(a, b);
         }
     }
 
@@ -1122,9 +1018,9 @@ mod tests {
     #[test]
     fn lean_negligible_overflow_re_sums_the_total() {
         // 0 < overflow <= 1e-9: no eviction pass, but the running total
-        // (0.6 + 0.1 + 0.2, in insertion order) is replaced by the lane
+        // (0.1 + 0.6 + 0.2, in insertion order) is replaced by the lane
         // sum (0.1 + 0.2) + (0.6 + 0.0), which differs in its last bit.
-        let (llc, r) = replay(0.9 - 5e-10, &[(2, 0.6), (0, 0.1), (1, 0.2)]);
+        let (llc, r) = replay(0.9 - 5e-10, &[(0, 0.1), (1, 0.6), (2, 0.2)]);
         assert_eq!(r, Resolved::Negligible);
         assert_eq!(llc.total(), 0.9);
     }
@@ -1135,7 +1031,7 @@ mod tests {
         // rounds one ulp above what the owners hold, so the first pass
         // empties everyone and leaves an overflow that no weight can
         // absorb.
-        let (llc, r) = replay(8.0, &[(0, 3.0), (2, 5.0), (1, 1.3 * 2f64.powi(56))]);
+        let (llc, r) = replay(8.0, &[(0, 3.0), (1, 5.0), (2, 1.3 * 2f64.powi(56))]);
         assert_eq!(r, Resolved::Fallback(1));
         assert_eq!(llc.total(), 0.0);
     }
